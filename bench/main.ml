@@ -285,8 +285,6 @@ let tables_scaled ~options ~scale ~smoke configs =
 let ablations benches =
   section "Ablation A1 - damage ordering of synchronization paths";
   Table.print (Report.ablation_order benches);
-  section "Ablation A2 - redundant-synchronization elimination";
-  Table.print (Report.ablation_elimination benches);
   section "Ablation A3 - statement-level synchronization migration";
   Table.print (Report.ablation_migration benches);
   section "Sweep A4 - beyond the paper's four machine configurations";

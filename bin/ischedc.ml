@@ -886,35 +886,30 @@ let tables_cmd =
 (* --- ablations --- *)
 
 let ablations_cmd =
+  let module Report = Isched_harness.Report in
+  let tables =
+    [
+      ("order", Report.ablation_order);
+      ("migration", Report.ablation_migration);
+      ("markers", Report.ablation_markers);
+      ("sync-elim", Report.ablation_sync_elim);
+    ]
+  in
   let run () () which =
-    let module Report = Isched_harness.Report in
     let benches = Isched_perfect.Suite.all () in
-    let all =
-      [
-        ("order", Report.ablation_order);
-        ("elimination", Report.ablation_elimination);
-        ("migration", Report.ablation_migration);
-        ("markers", Report.ablation_markers);
-        ("sync-elim", Report.ablation_sync_elim);
-      ]
-    in
-    match which with
-    | "all" ->
-      List.iter (fun (_, f) -> Isched_util.Table.print (f benches)) all
-    | w -> (
-      match List.assoc_opt w all with
-      | Some f -> Isched_util.Table.print (f benches)
-      | None -> invalid_arg ("unknown ablation: " ^ w))
+    let chosen = if which = "all" then tables else [ (which, List.assoc which tables) ] in
+    List.iter (fun (_, f) -> Isched_util.Table.print (f benches)) chosen
   in
   let which =
-    Arg.(value & opt string "all" & info [ "which" ] ~docv:"WHICH"
-           ~doc:"One of order, elimination, migration, markers, sync-elim, all.")
+    let names = List.map fst tables @ [ "all" ] in
+    Arg.(value & opt (enum (List.map (fun w -> (w, w)) names)) "all" & info [ "which" ]
+           ~docv:"WHICH" ~doc:"One of order, migration, markers, sync-elim, all.")
   in
   Cmd.v
     (Cmd.info "ablations"
-       ~doc:"Print the ablation tables (A1 damage ordering, A2 plan-level elimination, A3 \
-             migration, A5 marker-guided comparison, A6 post-codegen redundant-sync \
-             elimination) without running the full benchmark harness.")
+       ~doc:"Print the ablation tables (A1 damage ordering, A3 migration, A5 marker-guided \
+             comparison, A6 redundant-sync elimination over the corpora and the elimination \
+             kernels) without running the full benchmark harness.")
     Term.(const run $ obs_term $ jobs_arg $ which)
 
 let () =

@@ -397,7 +397,7 @@ let run ?n_iters (l : Ast.loop) (plan : Plan.t) =
   Program.validate program;
   program
 
-let compile ?(eliminate = false) ?(migrate = false) ?carried ?n_iters l =
+let compile ?(migrate = false) ?carried ?n_iters l =
   (* [carried], when given, must be [Dep.carried_deps l]: callers that
      already decided DOALL vs DOACROSS pass their analysis along instead
      of re-running it.  Migration reorders the statements, which
@@ -409,28 +409,10 @@ let compile ?(eliminate = false) ?(migrate = false) ?carried ?n_iters l =
   let plan =
     match carried with Some deps -> Plan.of_deps l deps | None -> Plan.build l
   in
-  if not eliminate then run ?n_iters l plan
-  else begin
-    (* Two passes: compile fully synchronized, find the waits whose
-       coverage is provable on the data-flow graph, recompile without
-       them.  The wait ids of the first program index [plan.pairs]. *)
-    let full = run ?n_iters l plan in
-    let g = Isched_dfg.Dfg.build full in
-    let redundant = Isched_dfg.Reduce.redundant_waits g in
-    if redundant = [] then full
-    else begin
-      let kept =
-        Array.to_list plan.Plan.pairs
-        |> List.filter (fun (p : Plan.pair) -> not (List.mem p.Plan.wait redundant))
-        |> List.map (fun (p : Plan.pair) -> p.Plan.dep)
-      in
-      run ?n_iters l (Plan.of_deps l kept)
-    end
-  end
+  run ?n_iters l plan
 
 (* Observability shadows: the exported entry points are the traced ones. *)
 let run ?n_iters l plan = Isched_obs.Span.with_ ~name:"codegen.run" (fun () -> run ?n_iters l plan)
 
-let compile ?eliminate ?migrate ?carried ?n_iters l =
-  Isched_obs.Span.with_ ~name:"codegen.compile" (fun () ->
-      compile ?eliminate ?migrate ?carried ?n_iters l)
+let compile ?migrate ?carried ?n_iters l =
+  Isched_obs.Span.with_ ~name:"codegen.compile" (fun () -> compile ?migrate ?carried ?n_iters l)

@@ -30,22 +30,17 @@ module Ast := Isched_frontend.Ast
     subscripts nested deeper than one indirection. *)
 val run : ?n_iters:int -> Ast.loop -> Isched_sync.Plan.t -> Isched_ir.Program.t
 
-(** [compile ?eliminate ?migrate ?carried ?n_iters l] is the full front
-    end in one call: optional statement migration, sync-plan
-    construction, then {!run}.  Restructuring is {e not} applied
-    (callers choose via {!Isched_transform.Restructure}).
-
-    [eliminate] enables instruction-level redundant-synchronization
-    elimination ({!Isched_dfg.Reduce}): the loop is compiled with the
-    full plan, provably covered waits are identified on the data-flow
-    graph, and the loop is recompiled with the reduced plan.
+(** [compile ?migrate ?carried ?n_iters l] is the full front end in one
+    call: optional statement migration, sync-plan construction, then
+    {!run}.  Restructuring is {e not} applied (callers choose via
+    {!Isched_transform.Restructure}); redundant Send/Wait pairs are
+    removed after code generation, by {!Isched_sync.Elim}.
 
     [carried], when given, must equal [Dep.carried_deps l]; callers
     that already ran the dependence analysis (e.g. to decide DOALL vs
     DOACROSS) pass it along so the plan is built without re-analyzing.
     Ignored under [migrate] (reordering renumbers the accesses). *)
 val compile :
-  ?eliminate:bool ->
   ?migrate:bool ->
   ?carried:Isched_deps.Dep.t list ->
   ?n_iters:int ->

@@ -6,15 +6,13 @@ module Span = Isched_obs.Span
 module Counters = Isched_obs.Counters
 
 type options = {
-  eliminate : bool;
   migrate : bool;
   sync_elim : bool;
   order_paths : bool;
   n_iters : int option;
 }
 
-let default_options =
-  { eliminate = false; migrate = false; sync_elim = false; order_paths = true; n_iters = None }
+let default_options = { migrate = false; sync_elim = false; order_paths = true; n_iters = None }
 
 type prepared =
   | Doall of Restructure.result
@@ -39,15 +37,14 @@ let scheduler_name = function
    the produced structures is mutated downstream (schedulers allocate
    their own working state).  The tables and ablations re-prepare the
    same corpus loops dozens of times, so [prepare] memoizes on the
-   structural key below.  Only the option fields that the front half
-   reads participate in the key — [order_paths] is a scheduler knob. *)
-type prep_key = {
-  key_loop : Ast.loop;
-  key_eliminate : bool;
-  key_migrate : bool;
-  key_sync_elim : bool;
-  key_n_iters : int option;
-}
+   structural key below: the loop plus the whole options record, with
+   the scheduler-only [order_paths] reset to its default.  Every other
+   field is keyed without being named here, so a new front-half option
+   cannot be left out of the key. *)
+type prep_key = { key_loop : Ast.loop; key_options : options }
+
+let prep_key options l =
+  { key_loop = l; key_options = { options with order_paths = default_options.order_paths } }
 
 (* Key hashing rides on the digest the frontend computed once at loop
    construction: the default polymorphic hash samples only the first
@@ -59,16 +56,11 @@ module Key = struct
   type t = prep_key
 
   let equal a b =
-    a.key_eliminate = b.key_eliminate
-    && a.key_migrate = b.key_migrate
-    && a.key_sync_elim = b.key_sync_elim
-    && a.key_n_iters = b.key_n_iters
+    a.key_options = b.key_options
     && (a.key_loop == b.key_loop
        || (a.key_loop.Ast.digest = b.key_loop.Ast.digest && a.key_loop = b.key_loop))
 
-  let hash k =
-    k.key_loop.Ast.digest
-    lxor Hashtbl.hash (k.key_eliminate, k.key_migrate, k.key_sync_elim, k.key_n_iters)
+  let hash k = k.key_loop.Ast.digest lxor Hashtbl.hash k.key_options
 end
 
 module Memo_tbl = Hashtbl.Make (Key)
@@ -110,8 +102,8 @@ let prepare_uncached (options : options) (l : Ast.loop) =
       if carried = [] then Doall restructured
       else begin
         let prog =
-          Isched_codegen.Codegen.compile ~eliminate:options.eliminate ~migrate:options.migrate
-            ~carried ?n_iters:options.n_iters l'
+          Isched_codegen.Codegen.compile ~migrate:options.migrate ~carried
+            ?n_iters:options.n_iters l'
         in
         let graph = Isched_dfg.Dfg.build prog in
         let prog, graph =
@@ -125,15 +117,7 @@ let prepare_uncached (options : options) (l : Ast.loop) =
       end)
 
 let prepare ?(options = default_options) (l : Ast.loop) =
-  let key =
-    {
-      key_loop = l;
-      key_eliminate = options.eliminate;
-      key_migrate = options.migrate;
-      key_sync_elim = options.sync_elim;
-      key_n_iters = options.n_iters;
-    }
-  in
+  let key = prep_key options l in
   let shard = shard_for key in
   match Mutex.protect shard.shard_lock (fun () -> Memo_tbl.find_opt shard.table key) with
   | Some p ->

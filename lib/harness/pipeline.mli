@@ -13,7 +13,6 @@ module Program := Isched_ir.Program
 module Machine := Isched_ir.Machine
 
 type options = {
-  eliminate : bool;  (** plan-level redundant-wait pre-pass (ablation A2) *)
   migrate : bool;  (** statement migration pre-pass (ablation A3) *)
   sync_elim : bool;
       (** post-codegen transitive-reduction pass ({!Isched_sync.Elim}):
@@ -42,14 +41,15 @@ type prepared =
 
 (** [prepare ?options l] runs the front half of the pipeline.
 
-    Results are memoized on the structural key (loop, eliminate,
-    migrate, sync_elim, n_iters) — every option the front half reads is
-    part of the key, so toggling a pass can never return a stale
-    preparation: the tables, sweeps and ablations re-prepare the
-    same corpus loops many times, and restructuring + code generation +
-    graph construction dominate their cost.  The cache is protected by a
-    mutex and safe to hit from {!Isched_util.Pool} workers; the cached
-    structures are never mutated downstream. *)
+    Results are memoized on the structural key (loop, options), with
+    the scheduler-only [order_paths] field reset to its default — every
+    option the front half reads is part of the key, so toggling a pass
+    can never return a stale preparation: the tables, sweeps and
+    ablations re-prepare the same corpus loops many times, and
+    restructuring + code generation + graph construction dominate their
+    cost.  The cache is protected by a mutex and safe to hit from
+    {!Isched_util.Pool} workers; the cached structures are never mutated
+    downstream. *)
 val prepare : ?options:options -> Ast.loop -> prepared
 
 (** [prepare_uncached options l] — {!prepare} without the memo: nothing

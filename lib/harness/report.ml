@@ -475,72 +475,25 @@ let ablation_order _benches =
     multi_path_kernels;
   t
 
-(* Instruction-level elimination is deliberately conservative (a wait
-   is dropped only when data-flow arcs prove every instruction it
-   protects is still ordered); the corpus loops keep all their waits, so
-   A2 measures dedicated kernels where coverage is provable: repeated
-   accesses to one cell, whose flow wait dominates the anti and output
-   waits. *)
-let elimination_kernels =
-  [
-    ("A[5] accumulation", "DOACROSS I = 1, 100\n A[5] = A[5] + E[I]\nENDDO");
-    ("guarded scalar sum", "DOACROSS I = 1, 100\n IF (E[I] > 0) S = S + Q[I] * C[I]\nENDDO");
-    ( "two fixed cells",
-      "DOACROSS I = 1, 100\n S1: A[3] = A[3] + E[I]\n S2: A[7] = A[7] * C[I]\nENDDO" );
-  ]
-
-let ablation_elimination _benches =
-  let t =
-    Table.create ~title:"Ablation A2 - redundant-synchronization elimination, 2-issue #FU=1"
-      ~columns:
-        [
-          ("Kernel", Table.Left);
-          ("waits", Table.Right);
-          ("waits+elim", Table.Right);
-          ("new T", Table.Right);
-          ("new+elim T", Table.Right);
-          ("gain", Table.Right);
-        ]
-  in
-  let machine = Machine.make ~issue:2 ~nfu:1 () in
-  List.iter
-    (fun (name, src) ->
-      let l = Isched_frontend.Parser.parse_loop ~name src in
-      let time prog =
-        let g = Isched_dfg.Dfg.build prog in
-        (Isched_sim.Timing.run (Isched_core.Sync_sched.run g machine)).Isched_sim.Timing.finish
-      in
-      let full = Isched_codegen.Codegen.compile l in
-      let reduced = Isched_codegen.Codegen.compile ~eliminate:true l in
-      let t_full = time full and t_red = time reduced in
-      Table.add_row t
-        [
-          name;
-          Table.fmt_int (Array.length full.Program.waits);
-          Table.fmt_int (Array.length reduced.Program.waits);
-          Table.fmt_int t_full;
-          Table.fmt_int t_red;
-          Table.fmt_pct (improvement ~t_list:t_full ~t_new:t_red);
-        ])
-    elimination_kernels;
-  t
-
-(* A6 drives the POST-codegen transitive-reduction pass
-   (Isched_sync.Elim via Pipeline's [sync_elim] option) — unlike A2's
-   plan-level pre-pass it also trusts the sync-condition arcs of
-   surviving pairs, so e.g. the guarded scalar sum (which A2 cannot
-   touch) loses its anti and output waits.  Rows cover the corpus
-   benchmarks plus the elimination kernels across the 2/4-issue x
-   #FU 1/2 grid; "sync" counts Send/Wait instructions in the generated
-   programs and T is the new scheduler's simulated parallel time.  The
-   scale-1 corpus rows typically show no redundancy (the deltas live in
-   the scaled corpus — see the BENCH records' sync_ops field); the
-   kernels row proves the axis end to end. *)
+(* A6 drives the post-codegen transitive-reduction pass
+   (Isched_sync.Elim via Pipeline's [sync_elim] option).  Rows cover the
+   corpus benchmarks plus three kernels where redundancy is certain —
+   repeated accesses to fixed cells, and a guarded scalar sum — across
+   the 2/4-issue x #FU 1/2 grid; "sync" counts Send/Wait instructions in
+   the generated programs and T is the new scheduler's simulated
+   parallel time.  The scale-1 corpus rows typically show no redundancy
+   (the deltas live in the scaled corpus — see the BENCH records'
+   sync_ops field); the kernels row proves the axis end to end. *)
 let ablation_sync_elim benches =
   let kernels =
     List.map
       (fun (name, src) -> Isched_frontend.Parser.parse_loop ~name src)
-      elimination_kernels
+      [
+        ("A[5] accumulation", "DOACROSS I = 1, 100\n A[5] = A[5] + E[I]\nENDDO");
+        ("guarded scalar sum", "DOACROSS I = 1, 100\n IF (E[I] > 0) S = S + Q[I] * C[I]\nENDDO");
+        ( "two fixed cells",
+          "DOACROSS I = 1, 100\n S1: A[3] = A[3] + E[I]\n S2: A[7] = A[7] * C[I]\nENDDO" );
+      ]
   in
   let rows =
     List.map

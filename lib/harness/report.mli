@@ -77,15 +77,12 @@ val scaled_tables :
 (** A1: value of ordering sync-path groups by damage [(n/d)|SP|]. *)
 val ablation_order : Suite.benchmark list -> Table.t
 
-(** A2: redundant-synchronization elimination stacked on both
-    schedulers. *)
-val ablation_elimination : Suite.benchmark list -> Table.t
-
 (** A6: the post-codegen transitive-reduction pass
     ({!Isched_sync.Elim} via {!Pipeline.options}[.sync_elim]) over the
-    corpus benchmarks plus the elimination kernels, on the 2/4-issue x
-    #FU 1/2 grid.  Columns report the Send/Wait instruction count and
-    the new scheduler's time with and without the pass. *)
+    corpus benchmarks plus three fixed-cell and guarded-reduction
+    kernels (the "elim kernels" row), on the 2/4-issue x #FU 1/2 grid.
+    Columns report the Send/Wait instruction count and the new
+    scheduler's time with and without the pass. *)
 val ablation_sync_elim : Suite.benchmark list -> Table.t
 
 (** A3: statement migration stacked on both schedulers. *)

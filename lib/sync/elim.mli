@@ -13,10 +13,11 @@
     {b What "program order" may mean here.}  The classic
     statement-level rule (Midkiff & Padua) composes enforced pairs with
     textual order; under instruction scheduling that is unsound —
-    independent instructions are exactly what the scheduler reorders
-    (see {!Isched_dfg.Reduce}, whose property tests construct a
-    failure).  This pass therefore only trusts orderings {e every legal
-    schedule} must respect:
+    independent instructions are exactly what the scheduler reorders,
+    so a sink protected only through textual order can be hoisted above
+    the surviving wait (a pinned test keeps that pair).  This pass
+    therefore only trusts orderings {e every legal schedule} must
+    respect:
 
     - data and memory arcs of the data-flow graph;
     - the sync-condition arcs of synchronization that {e survives}
@@ -33,7 +34,10 @@
     trusted arcs above, orders every instruction [w] protects
     ({!Isched_dfg.Dfg.protected_of_wait}) after [w]'s source event.
     Removed waits never justify later removals, and a hop never rides
-    on the target's own arcs.
+    on the target's own arcs.  Candidates are tried in wait-table order,
+    so among waits that imply each other the later ones survive: on
+    [A[5] = A[5] + E[I]] the flow and anti waits go and the output wait
+    stays.
 
     Every elimination records the justifying chain; when provenance
     recording is enabled ({!Isched_obs.Provenance}) one decision per

@@ -30,18 +30,20 @@ let reorder (l : Ast.loop) =
           score.(d.snk.Access.stmt) <- score.(d.snk.Access.stmt) + 1
         end)
       deps;
-    let ready = Isched_util.Pqueue.create () in
+    let ready = Isched_util.Ipqueue.create () in
+    let max_score = Array.fold_left max 0 score in
     let push i =
-      (* Pqueue pops the highest priority first; we want the smallest
-         score first, and original order among equals. *)
-      Isched_util.Pqueue.push ready ~prio:(-score.(i)) ~tie:i i
+      (* Ipqueue pops the highest priority first; we want the smallest
+         score first, and original order among equals.  Offsetting by
+         the largest score keeps [prio] non-negative. *)
+      Isched_util.Ipqueue.push ready ~prio:(max_score - score.(i)) ~tie:i i
     in
     for i = 0 to n - 1 do
       if indeg.(i) = 0 then push i
     done;
     let order = Isched_util.Vec.create () in
-    while not (Isched_util.Pqueue.is_empty ready) do
-      let i = Isched_util.Pqueue.pop ready in
+    while not (Isched_util.Ipqueue.is_empty ready) do
+      let i = Isched_util.Ipqueue.pop ready in
       Isched_util.Vec.push order i;
       List.iter
         (fun j ->

@@ -38,7 +38,7 @@ val of_deps : Ast.loop -> Dep.t list -> t
 
 (** [build l] analyzes the loop and enforces all carried dependences
     (redundant-synchronization elimination is a separate, post-codegen
-    pass: {!Isched_dfg.Reduce}). *)
+    pass: {!Elim}). *)
 val build : Ast.loop -> t
 
 (** Pretty statement-level rendering: the loop body with

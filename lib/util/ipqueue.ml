@@ -4,10 +4,10 @@
      entry = ((prio + 2) << 48) | ((0xFFFFFF - tie) << 24) | value
 
    Comparing entries as plain ints then orders by descending prio and,
-   within a prio, ascending tie — exactly [Pqueue]'s pop order.  The
-   [+ 2] keeps the marker scheduler's prio = -1 non-negative; 24 bits
-   for [tie] and [value] cover every node index (the DFG builder caps
-   bodies well below 2^24). *)
+   within a prio, ascending tie.  The [+ 2] keeps the marker
+   scheduler's prio = -1 non-negative; 24 bits for [tie] and [value]
+   cover every node index (the DFG builder caps bodies well below
+   2^24). *)
 
 type t = { mutable heap : int array; mutable size : int }
 

@@ -103,10 +103,6 @@ let test_ablation_order () =
   Alcotest.(check bool) "variants shown" true
     (contains s "new unordered" && contains s "new ordered" && contains s "ordering gain")
 
-let test_ablation_elimination () =
-  let s = Table.render (Report.ablation_elimination (small_benches ())) in
-  Alcotest.(check bool) "elim columns" true (contains s "waits+elim" && contains s "new+elim")
-
 let test_ablation_migration () =
   let s = Table.render (Report.ablation_migration (small_benches ())) in
   Alcotest.(check bool) "migration columns" true (contains s "list+migr" && contains s "new+migr")
@@ -192,16 +188,14 @@ let test_options_respected () =
     | Pipeline.Doall _ -> -1
   in
   let base = with_opts Pipeline.default_options in
-  let elim = with_opts { Pipeline.default_options with Pipeline.eliminate = true } in
+  let elim = with_opts { Pipeline.default_options with Pipeline.sync_elim = true } in
   Alcotest.(check bool) "elimination drops pairs" true (elim < base)
 
 let test_memo_key_covers_sync_elim () =
-  (* The cache-key regression this PR fixes a class of: flipping a pass
-     option must be a memo MISS that returns a different preparation,
-     never a stale hit from the other setting.  The guarded reduction is
-     a kernel where the post-codegen pass provably changes the program
-     (the plan-level pass cannot touch it). *)
-  Pipeline.memo_clear ();
+  (* The cache-key regression class: flipping a front-half option must
+     be a memo MISS that returns a different preparation, never a stale
+     hit from the other setting.  The guarded reduction is a kernel
+     where the post-codegen pass provably changes the program. *)
   let l =
     Isched_frontend.Parser.parse_loop
       "DOACROSS I = 1, 50\n IF (E[I] > 0) S = S + Q[I] * C[I]\nENDDO"
@@ -211,34 +205,63 @@ let test_memo_key_covers_sync_elim () =
     | Pipeline.Doacross { prog; _ } -> Array.length prog.Isched_ir.Program.waits
     | Pipeline.Doall _ -> -1
   in
+  let d = Pipeline.default_options in
+  List.iter
+    (fun (name, options) ->
+      Pipeline.memo_clear ();
+      let base = Pipeline.prepare l in
+      check Alcotest.int "one miss" 1 (snd (Pipeline.memo_stats ()));
+      let flipped = Pipeline.prepare ~options l in
+      check Alcotest.int ("flipping " ^ name ^ " misses") 2 (snd (Pipeline.memo_stats ()));
+      Alcotest.(check bool) "distinct cache lines" true (flipped != base);
+      if options.Pipeline.sync_elim then
+        Alcotest.(check bool) "the eliminated preparation is smaller" true
+          (waits flipped < waits base);
+      (* Re-asking for either setting hits its own line and keeps its
+         own answer. *)
+      let base' = Pipeline.prepare l in
+      let flipped' = Pipeline.prepare ~options l in
+      check Alcotest.int "no further misses" 2 (snd (Pipeline.memo_stats ()));
+      Alcotest.(check bool) "base line stable" true (base' == base);
+      Alcotest.(check bool) (name ^ " line stable") true (flipped' == flipped))
+    [
+      ("sync_elim", { d with Pipeline.sync_elim = true });
+      ("migrate", { d with Pipeline.migrate = true });
+      ("n_iters", { d with Pipeline.n_iters = Some 7 });
+    ];
+  (* [order_paths] only steers the scheduler: it shares the line. *)
+  Pipeline.memo_clear ();
   let base = Pipeline.prepare l in
-  check Alcotest.int "one miss" 1 (snd (Pipeline.memo_stats ()));
-  let elim =
-    Pipeline.prepare ~options:{ Pipeline.default_options with Pipeline.sync_elim = true } l
-  in
-  check Alcotest.int "flipping sync_elim misses" 2 (snd (Pipeline.memo_stats ()));
-  Alcotest.(check bool) "distinct cache lines" true (elim != base);
-  Alcotest.(check bool) "the eliminated preparation is smaller" true (waits elim < waits base);
-  (* Re-asking for either setting hits its own line and keeps its own
-     answer. *)
-  let base' = Pipeline.prepare l in
-  let elim' =
-    Pipeline.prepare ~options:{ Pipeline.default_options with Pipeline.sync_elim = true } l
-  in
-  check Alcotest.int "no further misses" 2 (snd (Pipeline.memo_stats ()));
-  Alcotest.(check bool) "base line stable" true (base' == base);
-  Alcotest.(check bool) "elim line stable" true (elim' == elim)
+  let unordered = Pipeline.prepare ~options:{ d with Pipeline.order_paths = false } l in
+  Alcotest.(check bool) "order_paths shares the line" true (unordered == base);
+  check Alcotest.int "order_paths is not keyed" 1 (snd (Pipeline.memo_stats ()))
 
 let test_ablation_sync_elim () =
-  let t = Report.ablation_sync_elim (small_benches ()) in
-  let s = Isched_util.Table.render t in
-  Alcotest.(check bool) "table renders" true (String.length s > 0);
-  Alcotest.(check bool) "kernels row present" true
-    (let n = String.length s in
-     let affix = "elim kernels" in
-     let m = String.length affix in
-     let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-     go 0)
+  (* Pin the kernels row: fixed-cell accumulations and a guarded scalar
+     sum, where the pass removes 12 of 20 Send/Wait instructions on
+     every configuration. *)
+  let s = Table.render (Report.ablation_sync_elim (small_benches ())) in
+  let cells line =
+    String.split_on_char '|' line |> List.map String.trim |> List.filter (( <> ) "")
+  in
+  let rec from_kernels = function
+    | [] -> []
+    | line :: rest -> (
+      match cells line with
+      | "elim kernels" :: row -> row :: List.map cells rest
+      | _ -> from_kernels rest)
+  in
+  let rows = List.filteri (fun i _ -> i < 4) (from_kernels (String.split_on_char '\n' s)) in
+  check
+    Alcotest.(list (list string))
+    "elim kernels row"
+    [
+      [ "2-issue/#FU=1"; "20"; "8"; "2601"; "2011"; "22.68%" ];
+      [ "2-issue/#FU=2"; "20"; "8"; "2404"; "1804"; "24.96%" ];
+      [ "4-issue/#FU=1"; "20"; "8"; "2500"; "2011"; "19.56%" ];
+      [ "4-issue/#FU=2"; "20"; "8"; "2100"; "1804"; "14.10%" ];
+    ]
+    rows
 
 let suite =
   [
@@ -252,13 +275,12 @@ let suite =
     ("headline: QCD improves least", `Slow, test_qcd_improves_least);
     ("categories table", `Quick, test_categories_table);
     ("ablation A1 renders", `Quick, test_ablation_order);
-    ("ablation A2 renders", `Quick, test_ablation_elimination);
     ("ablation A3 renders", `Quick, test_ablation_migration);
+    ("ablation A6 renders", `Quick, test_ablation_sync_elim);
     ("worked example: all figures present", `Quick, test_worked_example_report);
     ("worked example: Fig. 4 times", `Quick, test_worked_example_times);
     ("pipeline options: redundant-sync elimination", `Quick, test_options_respected);
     ("pipeline: memo key covers sync_elim", `Quick, test_memo_key_covers_sync_elim);
-    ("ablation A6 renders", `Quick, test_ablation_sync_elim);
     ("measure: domain pool equals sequential", `Quick, test_measure_pool_matches_sequential);
     ("pipeline: prepare memoization", `Quick, test_prepare_memo);
     ("pipeline: memo safe under 8-way identical keys", `Quick, test_prepare_memo_concurrent);

@@ -129,9 +129,9 @@ let prop_compact_never_longer =
         c.Schedule.length <= s.Schedule.length
         && (match Schedule.validate c graph with Ok () -> true | Error _ -> false))
 
-let prop_eliminate_sound =
+let prop_sync_elim_sound =
   qtest ~count:40 "elimination: reduced sync still executes correctly" gen_loop (fun l ->
-      let options = { Pipeline.default_options with Pipeline.eliminate = true } in
+      let options = { Pipeline.default_options with Pipeline.sync_elim = true } in
       match Pipeline.prepare ~options l with
       | Pipeline.Doall _ -> true
       | Pipeline.Doacross { prog; graph; _ } ->
@@ -382,7 +382,7 @@ let suite =
     prop_timing_lower_bound;
     prop_timing_exact_single_pair;
     prop_compact_never_longer;
-    prop_eliminate_sound;
+    prop_sync_elim_sound;
     prop_migrate_sound;
     prop_restructure_preserves;
     prop_every_instruction_scheduled_once;

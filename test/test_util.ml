@@ -2,7 +2,7 @@
 
 module Prng = Isched_util.Prng
 module Union_find = Isched_util.Union_find
-module Pqueue = Isched_util.Pqueue
+module Ipqueue = Isched_util.Ipqueue
 module Vec = Isched_util.Vec
 module Table = Isched_util.Table
 module Pool = Isched_util.Pool
@@ -147,51 +147,53 @@ let uf_transitive =
           List.for_all (fun x -> List.for_all (fun y -> Union_find.same uf x y) members) members)
         groups)
 
-(* --- Pqueue --- *)
+(* --- Ipqueue, the priority queue ("pqueue" in the test names) --- *)
 
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~prio:1 ~tie:0 "low";
-  Pqueue.push q ~prio:9 ~tie:0 "high";
-  Pqueue.push q ~prio:5 ~tie:0 "mid";
-  check Alcotest.string "high first" "high" (Pqueue.pop q);
-  check Alcotest.string "mid second" "mid" (Pqueue.pop q);
-  check Alcotest.string "low last" "low" (Pqueue.pop q)
+let test_ipqueue_order () =
+  let q = Ipqueue.create () in
+  Ipqueue.push q ~prio:1 ~tie:0 10;
+  Ipqueue.push q ~prio:9 ~tie:0 90;
+  Ipqueue.push q ~prio:5 ~tie:0 50;
+  check Alcotest.int "high first" 90 (Ipqueue.pop q);
+  check Alcotest.int "mid second" 50 (Ipqueue.pop q);
+  check Alcotest.int "low last" 10 (Ipqueue.pop q)
 
-let test_pqueue_tie_break () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~prio:5 ~tie:2 "second";
-  Pqueue.push q ~prio:5 ~tie:1 "first";
-  check Alcotest.string "smaller tie first" "first" (Pqueue.pop q);
-  check Alcotest.string "then larger tie" "second" (Pqueue.pop q)
+let test_ipqueue_tie_break () =
+  let q = Ipqueue.create () in
+  Ipqueue.push q ~prio:5 ~tie:2 20;
+  Ipqueue.push q ~prio:5 ~tie:1 10;
+  check Alcotest.int "smaller tie first" 10 (Ipqueue.pop q);
+  check Alcotest.int "then larger tie" 20 (Ipqueue.pop q)
 
-let test_pqueue_empty () =
-  let q : int Pqueue.t = Pqueue.create () in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (Pqueue.pop q))
+let test_ipqueue_empty () =
+  let q = Ipqueue.create () in
+  Alcotest.(check bool) "is_empty" true (Ipqueue.is_empty q);
+  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (Ipqueue.pop q))
 
-let test_pqueue_peek () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~prio:1 ~tie:0 10;
-  Pqueue.push q ~prio:2 ~tie:0 20;
-  check Alcotest.int "peek max" 20 (Pqueue.peek q);
-  check Alcotest.int "peek does not remove" 2 (Pqueue.length q)
+let test_ipqueue_range () =
+  let q = Ipqueue.create () in
+  List.iter
+    (fun prio ->
+      Alcotest.check_raises
+        (Printf.sprintf "prio %d rejected" prio)
+        (Invalid_argument "Ipqueue.push: prio out of range")
+        (fun () -> Ipqueue.push q ~prio ~tie:0 0))
+    [ -2; 16382 ];
+  Alcotest.(check bool) "nothing was queued" true (Ipqueue.is_empty q);
+  Ipqueue.push q ~prio:(-1) ~tie:0 1;
+  Ipqueue.push q ~prio:16381 ~tie:0 2;
+  check Alcotest.int "the bounds themselves are accepted" 2 (Ipqueue.length q)
 
-let test_pqueue_to_list () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q ~prio:p ~tie:v v) [ (3, 1); (1, 2); (2, 3) ];
-  check Alcotest.(list int) "pop order" [ 1; 3; 2 ] (Pqueue.to_list q);
-  check Alcotest.int "unchanged" 3 (Pqueue.length q)
-
-let pqueue_sorts =
+let ipqueue_sorts =
   qtest "pqueue: pops in non-increasing priority order"
-    QCheck2.Gen.(list_size (int_bound 60) (int_range (-50) 50))
+    QCheck2.Gen.(list_size (int_bound 60) (int_range (-1) 100))
     (fun prios ->
-      let q = Pqueue.create () in
-      List.iteri (fun i p -> Pqueue.push q ~prio:p ~tie:i p) prios;
+      let prio = Array.of_list prios in
+      let q = Ipqueue.create () in
+      Array.iteri (fun i p -> Ipqueue.push q ~prio:p ~tie:i i) prio;
       let out = ref [] in
-      while not (Pqueue.is_empty q) do
-        out := Pqueue.pop q :: !out
+      while not (Ipqueue.is_empty q) do
+        out := prio.(Ipqueue.pop q) :: !out
       done;
       (* pops are non-increasing, so the accumulated list is ascending *)
       !out = List.sort compare prios && List.length prios = List.length !out)
@@ -427,12 +429,11 @@ let suite =
     ("union-find: unions merge", `Quick, test_uf_union);
     ("union-find: groups sorted", `Quick, test_uf_groups_sorted);
     uf_transitive;
-    ("pqueue: priority order", `Quick, test_pqueue_order);
-    ("pqueue: deterministic tie-break", `Quick, test_pqueue_tie_break);
-    ("pqueue: empty behaviour", `Quick, test_pqueue_empty);
-    ("pqueue: peek", `Quick, test_pqueue_peek);
-    ("pqueue: to_list preserves queue", `Quick, test_pqueue_to_list);
-    pqueue_sorts;
+    ("pqueue: priority order", `Quick, test_ipqueue_order);
+    ("pqueue: deterministic tie-break", `Quick, test_ipqueue_tie_break);
+    ("pqueue: empty behaviour", `Quick, test_ipqueue_empty);
+    ("pqueue: out-of-range prio raises", `Quick, test_ipqueue_range);
+    ipqueue_sorts;
     ("vec: push/get/last", `Quick, test_vec_push_get);
     ("vec: bounds checking", `Quick, test_vec_bounds);
     ("vec: list/array roundtrip", `Quick, test_vec_roundtrip);
