@@ -15,14 +15,11 @@ let c_failures = Counters.counter "check.oracle.failures"
    schedule; the diagnostic keeps the totals and shows the first few. *)
 let max_shown = 5
 
-let differential_inner (s : Schedule.t) =
-  Counters.incr c_runs;
-  let p = s.Schedule.prog in
-  let msgs = ref [] in
-  let add m = msgs := m :: !msgs in
-  let v = Value.run s in
+(* The value run [v] of [s] against the sequential reference and the
+   timing engine. *)
+let compare_run add (s : Schedule.t) (v : Value.result) =
   let seq_log = Readlog.create () in
-  let seq_mem = Prog_interp.run ~log:seq_log p in
+  let seq_mem = Prog_interp.run ~log:seq_log s.Schedule.prog in
   if not (Memory.equal seq_mem v.Value.memory) then
     add "final memory differs from the sequential reference";
   let stale = Readlog.compare_logs ~reference:seq_log ~actual:v.Value.log in
@@ -37,13 +34,21 @@ let differential_inner (s : Schedule.t) =
   List.iteri (fun i r -> if i < max_shown then add (Printf.sprintf "write race: %s" r)) v.Value.races;
   if List.length v.Value.races > max_shown then
     add (Printf.sprintf "... and %d more race(s)" (List.length v.Value.races - max_shown));
-  (match Timing.run s with
+  match Timing.run s with
   | t ->
     if t.Timing.finish <> v.Value.finish then
       add
         (Printf.sprintf "timing simulator finishes at cycle %d, value simulator at %d"
            t.Timing.finish v.Value.finish)
-  | exception (Timing.Invalid_schedule _ as e) -> add (Printexc.to_string e));
+  | exception (Timing.Invalid_schedule _ as e) -> add (Printexc.to_string e)
+
+let differential_inner (s : Schedule.t) =
+  Counters.incr c_runs;
+  let msgs = ref [] in
+  let add m = msgs := m :: !msgs in
+  (match Value.run s with
+  | v -> compare_run add s v
+  | exception (Value.Deadlock _ as e) -> add (Printexc.to_string e));
   match List.rev !msgs with
   | [] -> Ok ()
   | msgs ->

@@ -8,9 +8,11 @@
     reproduce the reference's final memory, observe no stale read
     (every read sees the same write generation as the reference), and
     race on no cell.  The fast timing engine ({!Isched_sim.Timing}) is
-    cross-checked against the value simulator's cycle count, and its
-    {!Isched_sim.Timing.Invalid_schedule} signal is surfaced as a
-    diagnostic instead of a crash. *)
+    cross-checked against the value simulator's cycle count.  Neither
+    engine's structured failure escapes: a value-simulator
+    {!Isched_sim.Value.Deadlock} and a timing
+    {!Isched_sim.Timing.Invalid_schedule} are surfaced as diagnostics
+    instead of crashes. *)
 
 module Schedule := Isched_core.Schedule
 module Dfg := Isched_dfg.Dfg
@@ -18,7 +20,7 @@ module Dfg := Isched_dfg.Dfg
 (** [differential s] — [Ok ()] when the parallel execution of [s] is
     observably the sequential execution; [Error msgs] lists every
     deviation (memory diff, stale reads with their locations, races,
-    timing/value disagreement). *)
+    timing/value disagreement, a deadlock). *)
 val differential : Schedule.t -> (unit, string list) result
 
 (** [check_schedule ?graph s] — the full obligation: {!Static.check}

@@ -12,11 +12,22 @@
 (** Writer tag: [(iteration, body index)]; [initial] for never-written. *)
 type tag = Initial | Written of { iter : int; instr : int }
 
+(** [tag_equal a b] — structural equality on tags, without the
+    polymorphic compare. *)
+val tag_equal : tag -> tag -> bool
+
+(** What one read observes: the value and who wrote it. *)
+type cell = { value : float; tag : tag }
+
+(** Each array is its own int-keyed table, found by name; scalars are
+    one string-keyed table. *)
 type t
 
 val create : unit -> t
 
-(** Array cells. *)
+(** Array cells.  [read] is [get] and [tag_of] in one lookup. *)
+val read : t -> string -> int -> cell
+
 val get : t -> string -> int -> float
 
 val set : t -> string -> int -> float -> tag -> unit
@@ -25,6 +36,8 @@ val set : t -> string -> int -> float -> tag -> unit
 val tag_of : t -> string -> int -> tag
 
 (** Scalars. *)
+val read_scalar : t -> string -> cell
+
 val get_scalar : t -> string -> float
 
 val set_scalar : t -> string -> float -> tag -> unit
@@ -37,7 +50,9 @@ val written_cells : t -> ((string * int) * float) list
 val written_scalars : t -> (string * float) list
 
 (** [equal a b] — the memories agree on every cell either ever wrote
-    (bitwise, NaN-safe); unwritten cells agree by construction. *)
+    (bitwise, NaN-safe); unwritten cells agree by construction.  Walks
+    each side's written cells against the other and stops at the first
+    difference; it is [diff a b = []] without building the report. *)
 val equal : t -> t -> bool
 
 (** [diff a b] — cells where they disagree, for error reports. *)

@@ -10,44 +10,47 @@ let operand regs ~ivar = function
 
 let addr_to_index v = Semantics.to_int v asr 2
 
+(* Record the read of [c] when a log is kept; the value read. *)
+let observe log ~ivar ~instr_idx cell index (c : Memory.cell) =
+  (match log with
+  | None -> ()
+  | Some l -> Readlog.add l { Readlog.iter = ivar; instr = instr_idx; cell; index; observed = c.tag });
+  c.value
+
 let exec_instr mem ?log ~regs ~ivar ~instr_idx ~store (ins : Instr.t) =
-  let ev o = operand regs ~ivar o in
-  let log_read cell index observed =
-    match log with
-    | None -> ()
-    | Some l -> Readlog.add l { Readlog.iter = ivar; instr = instr_idx; cell; index; observed }
-  in
   match ins with
-  | Instr.Bin { op; dst; a; b } -> regs.(dst) <- Semantics.binop op (ev a) (ev b)
+  | Instr.Bin { op; dst; a; b } ->
+    regs.(dst) <- Semantics.binop op (operand regs ~ivar a) (operand regs ~ivar b)
   | Instr.Select { dst; cond; if_true; if_false } ->
-    regs.(dst) <- Semantics.select (ev cond) (ev if_true) (ev if_false)
+    regs.(dst) <-
+      Semantics.select (operand regs ~ivar cond) (operand regs ~ivar if_true)
+        (operand regs ~ivar if_false)
   | Instr.Load { dst; base; addr } ->
-    let index = addr_to_index (ev addr) in
-    log_read base (Some index) (Memory.tag_of mem base index);
-    regs.(dst) <- Memory.get mem base index
+    let index = addr_to_index (operand regs ~ivar addr) in
+    regs.(dst) <- observe log ~ivar ~instr_idx base (Some index) (Memory.read mem base index)
   | Instr.Store { base; addr; src } ->
-    let index = addr_to_index (ev addr) in
-    store ~cell:base ~index:(Some index) ~value:(ev src)
+    let index = addr_to_index (operand regs ~ivar addr) in
+    store ~cell:base ~index:(Some index) ~value:(operand regs ~ivar src)
+      ~tag:(Memory.Written { iter = ivar; instr = instr_idx })
   | Instr.Load_scalar { dst; name } ->
-    log_read name None (Memory.scalar_tag_of mem name);
-    regs.(dst) <- Memory.get_scalar mem name
-  | Instr.Store_scalar { name; src } -> store ~cell:name ~index:None ~value:(ev src)
+    regs.(dst) <- observe log ~ivar ~instr_idx name None (Memory.read_scalar mem name)
+  | Instr.Store_scalar { name; src } ->
+    store ~cell:name ~index:None ~value:(operand regs ~ivar src)
+      ~tag:(Memory.Written { iter = ivar; instr = instr_idx })
   | Instr.Send _ | Instr.Wait _ -> ()
 
 let run ?memory ?log (p : Program.t) =
   let mem = match memory with Some m -> m | None -> Memory.create () in
-  let hi = p.Program.lo + p.Program.n_iters - 1 in
-  for ivar = p.Program.lo to hi do
+  let store ~cell ~index ~value ~tag =
+    match index with
+    | Some i -> Memory.set mem cell i value tag
+    | None -> Memory.set_scalar mem cell value tag
+  in
+  let body = p.Program.body in
+  for ivar = p.Program.lo to p.Program.lo + p.Program.n_iters - 1 do
     let regs = Array.make (max 1 p.Program.n_regs) 0. in
-    Array.iteri
-      (fun instr_idx ins ->
-        let store ~cell ~index ~value =
-          let tag = Memory.Written { iter = ivar; instr = instr_idx } in
-          match index with
-          | Some i -> Memory.set mem cell i value tag
-          | None -> Memory.set_scalar mem cell value tag
-        in
-        exec_instr mem ?log ~regs ~ivar ~instr_idx ~store ins)
-      p.Program.body
+    for instr_idx = 0 to Array.length body - 1 do
+      exec_instr mem ?log ~regs ~ivar ~instr_idx ~store body.(instr_idx)
+    done
   done;
   mem

@@ -15,13 +15,14 @@ val run : ?memory:Memory.t -> ?log:Readlog.t -> Program.t -> Memory.t
 (** [exec_instr] — one instruction at iteration [ivar] over register
     file [regs] (exposed so the simulator reuses the exact semantics).
     Returns the updated register assignment implicitly (in [regs]); the
-    [store] callback commits memory writes so callers can buffer them. *)
+    [store] callback commits memory writes, each with its writer tag,
+    so callers can buffer them. *)
 val exec_instr :
   Memory.t ->
   ?log:Readlog.t ->
   regs:float array ->
   ivar:int ->
   instr_idx:int ->
-  store:(cell:string -> index:int option -> value:float -> unit) ->
+  store:(cell:string -> index:int option -> value:float -> tag:Memory.tag -> unit) ->
   Isched_ir.Instr.t ->
   unit

@@ -14,14 +14,23 @@ let to_list t = Isched_util.Vec.to_list t
 
 type mismatch = { expected : Memory.tag; entry : entry }
 
+(* Reads are keyed by (iteration, instruction). *)
+module Key = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((i, j) : t) (i', j') = Int.equal i i' && Int.equal j j'
+  let hash ((i, j) : t) = ((i * 65599) + j) land max_int
+end)
+
 let compare_logs ~reference ~actual =
-  let ref_tbl = Hashtbl.create 1024 in
-  Isched_util.Vec.iter (fun e -> Hashtbl.replace ref_tbl (e.iter, e.instr) e.observed) reference;
+  let ref_tbl = Key.create (max 16 (Isched_util.Vec.length reference)) in
+  Isched_util.Vec.iter (fun e -> Key.replace ref_tbl (e.iter, e.instr) e.observed) reference;
   let out = ref [] in
   Isched_util.Vec.iter
     (fun e ->
-      match Hashtbl.find_opt ref_tbl (e.iter, e.instr) with
-      | Some expected when expected <> e.observed -> out := { expected; entry = e } :: !out
+      match Key.find_opt ref_tbl (e.iter, e.instr) with
+      | Some expected when not (Memory.tag_equal expected e.observed) ->
+        out := { expected; entry = e } :: !out
       | _ -> ())
     actual;
   List.rev !out

@@ -26,7 +26,30 @@ type result = {
   races : string list;  (** same-cycle write-write conflicts *)
 }
 
-(** [run s] simulates [s] on [s.prog.n_iters] processors.  Raises
-    [Invalid_argument] if the machine fails to retire within a generous
-    cycle bound (which would indicate a scheduler bug). *)
+(** Raised by {!run} when no processor can ever issue again: every
+    unretired one is parked on a wait whose signal is never posted
+    (a program whose wait precedes its own send, say).  [iteration] is
+    the lowest blocked iteration (0-based, like
+    {!Timing.Invalid_schedule}), [wait]/[signal] the pair it blocks on
+    and [posting_iteration] the iteration that should post it.
+    {!Isched_check.Oracle} reports it as a diagnostic. *)
+exception
+  Deadlock of {
+    prog : string;
+    cycle : int;
+    iteration : int;
+    wait : int;
+    signal : int;
+    posting_iteration : int;
+  }
+
+(** [run s] simulates [s] on [s.prog.n_iters] processors.
+
+    The cost follows the rows executed, not cycles times processors:
+    a processor whose wait is unposted parks on that signal's slot and
+    is woken by the [Send] that posts it, so each cycle visits only the
+    processors that can run (in ascending iteration order, which fixes
+    the read log's order).  A cycle's writes commit in ascending
+    iteration order and, within one iteration, latest issue first.
+    Raises {!Deadlock} when nothing can run and nothing was woken. *)
 val run : Isched_core.Schedule.t -> result

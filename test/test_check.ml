@@ -179,6 +179,56 @@ let test_oracle_catches_stale_reads () =
     Alcotest.(check bool) "stale reads named" true
       (List.exists (contains "stale read") msgs)
 
+let test_oracle_reports_deadlock () =
+  (* A wait at distance 0 (which [Program.validate] rejects) issued
+     before its own iteration's send: no processor ever gets past it.
+     The value simulator finds this the first cycle nothing can run, and
+     the oracle reports it instead of raising. *)
+  let module I = Isched_ir.Instr in
+  let p =
+    {
+      Program.name = "self-wait";
+      body =
+        [|
+          I.Wait { wait = 0 };
+          I.Store_scalar { name = "S"; src = Isched_ir.Operand.Imm 1 };
+          I.Send { signal = 0 };
+        |];
+      signals = [| { Program.signal = 0; src_stmt = 0; src_instr = 1; send_instr = 2; label = "S1" } |];
+      waits =
+        [|
+          {
+            Program.wait = 0;
+            signal = 0;
+            distance = 0;
+            snk_stmt = 0;
+            snk_instr = 1;
+            wait_instr = 0;
+            kind = Program.Output;
+            lexical = Program.LBD;
+            array = "S";
+          };
+        |];
+      mem = [| None; None; None |];
+      stmt_of = [| 0; 0; 0 |];
+      n_regs = 1;
+      lo = 1;
+      n_iters = 4;
+      source_lines = 1;
+    }
+  in
+  let s = Schedule.of_cycles p (Machine.make ~issue:4 ~nfu:1 ()) [| 0; 1; 2 |] in
+  (match Isched_sim.Value.run s with
+  | _ -> Alcotest.fail "expected Value.Deadlock"
+  | exception Isched_sim.Value.Deadlock { cycle; iteration; wait; signal; posting_iteration; _ } ->
+    check Alcotest.(list int) "cycle, iteration, wait, signal, poster" [ 1; 0; 0; 0; 0 ]
+      [ cycle; iteration; wait; signal; posting_iteration ]);
+  match Oracle.check_schedule s with
+  | Ok () -> Alcotest.fail "oracle accepted a deadlocking schedule"
+  | Error msgs ->
+    Alcotest.(check bool) "deadlock reported" true
+      (List.exists (fun m -> String.starts_with ~prefix:"Value.Deadlock: self-wait" m) msgs)
+
 (* --- pipeline hook --- *)
 
 let test_pipeline_validate_passes () =
@@ -210,4 +260,5 @@ let suite =
     ("oracle: accepts all schedulers' output on Fig. 1", `Quick, test_oracle_accepts_valid);
     ("oracle: catches stale reads", `Quick, test_oracle_catches_stale_reads);
     ("pipeline: validate:true passes on valid schedules", `Quick, test_pipeline_validate_passes);
+    ("oracle: reports a deadlock instead of raising", `Quick, test_oracle_reports_deadlock);
   ]

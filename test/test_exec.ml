@@ -94,6 +94,74 @@ let test_memory_written_cells_sorted () =
     [ (("A", 1), 1.); (("A", 9), 1.); (("B", 2), 1.) ]
     (Memory.written_cells m)
 
+(* [equal] walks each side's written cells and stops at the first
+   difference; [diff] builds the sorted union.  They must agree,
+   bitwise: NaN payloads, signed zeros, negative indices, scalars, and
+   cells written on one side only to their own initial value. *)
+let prop_memory_equal_is_empty_diff =
+  let nan_a = Int64.float_of_bits 0x7FF800000000000AL
+  and nan_b = Int64.float_of_bits 0x7FF0000000000002L in
+  (* Value 0 is the target cell's own initial value. *)
+  let value ~scalar name idx = function
+    | 0 -> if scalar then Semantics.init_scalar name else Semantics.init_value name idx
+    | v -> [| 0.; -0.; 1.; -3.; nan_a; nan_b; Float.nan |].(v - 1)
+  in
+  let apply (a, b) (side, scalar, name, idx, v) =
+    let x = value ~scalar name idx v in
+    let tag = Memory.Written { iter = idx; instr = v } in
+    let write m = if scalar then Memory.set_scalar m name x tag else Memory.set m name idx x tag in
+    if side <> 2 then write a;
+    if side <> 1 then write b
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      tup5
+        (frequencyl [ (4, 0); (1, 1); (1, 2) ])
+        bool (oneofl [ "A"; "B" ]) (int_range (-3) 3) (int_range 0 7))
+  in
+  let print (side, scalar, name, idx, v) =
+    Printf.sprintf "%s %s%s := #%d" [| "both"; "left"; "right" |].(side) name
+      (if scalar then "" else Printf.sprintf "[%d]" idx) v
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"memory: equal iff diff is empty"
+       ~print:QCheck2.Print.(list print)
+       QCheck2.Gen.(list_size (int_range 0 12) gen_op)
+       (fun ops ->
+         let a = Memory.create () and b = Memory.create () in
+         List.iter (apply (a, b)) ops;
+         Memory.equal a b = (Memory.diff a b = []) && Memory.equal b a = Memory.equal a b))
+
+let test_memory_equal_cases () =
+  let a = Memory.create () and b = Memory.create () in
+  Memory.set a "A" (-2) (Semantics.init_value "A" (-2)) (Memory.Written { iter = 1; instr = 0 });
+  Memory.set_scalar b "S" (Semantics.init_scalar "S") Memory.Initial;
+  Alcotest.(check bool) "one-sided writes of the initial value" true (Memory.equal a b);
+  Memory.set a "A" 0 0. Memory.Initial;
+  Memory.set b "A" 0 (-0.) Memory.Initial;
+  Alcotest.(check bool) "0.0 and -0.0 differ" false (Memory.equal a b);
+  Alcotest.(check int) "one diff line" 1 (List.length (Memory.diff a b));
+  Memory.set b "A" 0 0. Memory.Initial;
+  Memory.set a "A" 3 Float.nan Memory.Initial;
+  Memory.set b "A" 3 Float.nan Memory.Initial;
+  Alcotest.(check bool) "the same NaN is equal" true (Memory.equal a b);
+  Memory.set b "A" 3 (Int64.float_of_bits 0x7FF800000000000AL) Memory.Initial;
+  Alcotest.(check bool) "NaN payloads differ" false (Memory.equal a b)
+
+let test_memory_read () =
+  let m = Memory.create () in
+  let tag = Memory.Written { iter = 4; instr = 2 } in
+  Memory.set m "A" (-1) 7. tag;
+  let c = Memory.read m "A" (-1) in
+  check (Alcotest.float 0.) "value" 7. c.Memory.value;
+  Alcotest.(check bool) "tag" true (Memory.tag_equal tag c.Memory.tag);
+  let c = Memory.read m "A" 5 in
+  Alcotest.(check bool) "unwritten: initial value" true
+    (Semantics.eq c.Memory.value (Semantics.init_value "A" 5));
+  Alcotest.(check bool) "unwritten: initial tag" true (Memory.tag_equal Memory.Initial c.Memory.tag);
+  Alcotest.(check bool) "tags differ by instr" false
+    (Memory.tag_equal tag (Memory.Written { iter = 4; instr = 3 }))
+
 (* --- interpreters --- *)
 
 let test_ast_interp_simple () =
@@ -219,4 +287,7 @@ let suite =
     ("readlog: entries", `Quick, test_readlog_roundtrip);
     ("readlog: mismatch detection", `Quick, test_readlog_compare);
     ("prog interp: read provenance", `Quick, test_prog_interp_logs_reads);
+    prop_memory_equal_is_empty_diff;
+    ("memory: equality corner cases", `Quick, test_memory_equal_cases);
+    ("memory: read is value and tag", `Quick, test_memory_read);
   ]

@@ -346,6 +346,113 @@ let test_value_corpus_sample () =
       | [] -> ())
     (Isched_perfect.Suite.all ())
 
+(* --- the value engine against its time-stepped reference --- *)
+
+let read_entry =
+  Alcotest.testable
+    (fun ppf (e : Isched_exec.Readlog.entry) ->
+      Format.fprintf ppf "iter %d instr %d %s%s <- %a" e.iter e.instr e.cell
+        (match e.index with Some i -> Printf.sprintf "[%d]" i | None -> "")
+        Isched_exec.Memory.pp_tag e.observed)
+    ( = )
+
+let tag = Alcotest.testable Isched_exec.Memory.pp_tag Isched_exec.Memory.tag_equal
+
+(* [Value.run] and [Value_ref.run] must agree on everything they report,
+   final values bitwise and with their writer tags; returns the number
+   of races. *)
+let same_as_reference what (s : Schedule.t) =
+  let module M = Isched_exec.Memory in
+  let what = Printf.sprintf "%s %s" what s.Schedule.prog.Program.name in
+  let r = Value_ref.run s and v = Value.run s in
+  let cells (m : M.t) = List.map (fun (c, x) -> (c, Int64.bits_of_float x)) (M.written_cells m)
+  and scalars (m : M.t) = List.map (fun (c, x) -> (c, Int64.bits_of_float x)) (M.written_scalars m)
+  and writers (m : M.t) =
+    List.map (fun ((a, i), _) -> M.tag_of m a i) (M.written_cells m)
+    @ List.map (fun (a, _) -> M.scalar_tag_of m a) (M.written_scalars m)
+  in
+  check Alcotest.int (what ^ ": finish") r.Value.finish v.Value.finish;
+  check Alcotest.(list string) (what ^ ": races") r.Value.races v.Value.races;
+  check (Alcotest.list read_entry) (what ^ ": read log")
+    (Isched_exec.Readlog.to_list r.Value.log) (Isched_exec.Readlog.to_list v.Value.log);
+  check Alcotest.(list (pair (pair string int) int64)) (what ^ ": cells")
+    (cells r.Value.memory) (cells v.Value.memory);
+  check Alcotest.(list (pair string int64)) (what ^ ": scalars")
+    (scalars r.Value.memory) (scalars v.Value.memory);
+  check (Alcotest.list tag) (what ^ ": writers") (writers r.Value.memory) (writers v.Value.memory);
+  List.length r.Value.races
+
+let all_schedulers g =
+  [
+    ("list", Isched_core.List_sched.run g m4);
+    ("marker", Isched_core.Marker_sched.run g m4);
+    ("new", Isched_core.Sync_sched.run g m4);
+  ]
+
+(* Each schedule of [p] under the three schedulers, every injected fault
+   on those, and the schedules built without the sync-condition arcs. *)
+let reference_cases p =
+  let synced = all_schedulers (Dfg.build p) in
+  synced
+  @ List.concat_map
+      (fun (w, s) ->
+        List.filter_map
+          (fun f ->
+            Option.map
+              (fun s -> (w ^ "+" ^ Isched_check.Inject.name f, s))
+              (Isched_check.Inject.inject f s))
+          Isched_check.Inject.all)
+      synced
+  @ List.map (fun (w, s) -> (w ^ " unsynced", s)) (all_schedulers (Dfg.build ~sync_arcs:false p))
+
+let test_value_matches_reference_corpus () =
+  let loops = List.filteri (fun i _ -> i mod 10 = 0) (Isched_perfect.Suite.all_loops ()) in
+  List.iter
+    (fun l ->
+      match Isched_harness.Pipeline.prepare l with
+      | Isched_harness.Pipeline.Doall _ -> ()
+      | Isched_harness.Pipeline.Doacross { prog; _ } ->
+        List.iter (fun (w, s) -> ignore (same_as_reference w s)) (reference_cases prog))
+    loops
+
+let test_value_matches_reference_kernels () =
+  let races src cases =
+    List.fold_left (fun acc (w, s) -> acc + same_as_reference (w ^ " " ^ src) s) 0 cases
+  in
+  (* Without the sync arcs both kernels put two iterations' stores to one
+     cell into one cycle: a scalar every iteration writes, and an array
+     cell written by one iteration's S2 and the next one's S1. *)
+  List.iter
+    (fun src ->
+      check Alcotest.bool (src ^ ": some schedule races") true
+        (races src (reference_cases (compile src)) > 0))
+    [
+      "DOACROSS I = 1, 10\n S = E[I]\nENDDO";
+      "DOACROSS I = 1, 10\n S1: A[I] = E[I]\n S2: A[I+1] = C[I]\nENDDO";
+    ];
+  (* Waits hoisted into the first row, both sends sunk into the last:
+     iteration 0's posts wake iteration 3 (distance 3, first send)
+     before iteration 2 (distance 2), and the two must rejoin, and then
+     read, in ascending order. *)
+  let p =
+    compile
+      "DOACROSS I = 1, 30\n S1: A[I] = E[I]\n S2: B[I] = C[I]\n S3: D[I] = A[I-3] + B[I-2]\nENDDO"
+  in
+  let last = Array.length p.Program.body in
+  let moved =
+    Array.mapi
+      (fun i ins ->
+        match ins with Isched_ir.Instr.Wait _ -> 0 | Isched_ir.Instr.Send _ -> last | _ -> i)
+      p.Program.body
+  in
+  ignore (races "moved sync" [ ("hand", Schedule.of_cycles p m4 moved) ]);
+  (* The whole body in one row: each iteration's two stores to A[I]
+     commit in the same cycle, the later one first. *)
+  let p = compile "DOACROSS I = 1, 10\n S1: A[I] = E[I]\n S2: A[I] = C[I]\nENDDO" in
+  let one_row = Schedule.of_cycles p m4 (Array.make (Array.length p.Program.body) 0) in
+  check Alcotest.int "one row: every iteration races with itself" 10
+    (races "one row" [ ("hand", one_row) ])
+
 let suite =
   [
     ("timing: doall costs the schedule length", `Quick, test_timing_doall);
@@ -375,4 +482,7 @@ let suite =
     ("value: race-free under synchronization", `Quick, test_value_no_races_under_sync);
     ("value: stale reads without the sync arcs", `Quick, test_value_stale_without_sync_arcs);
     ("value: corpus sample is exact", `Slow, test_value_corpus_sample);
+    ("value: same as reference, corpus sample", `Quick, test_value_matches_reference_corpus);
+    ("value: same as reference, hand-written kernels", `Quick,
+      test_value_matches_reference_kernels);
   ]
