@@ -47,14 +47,10 @@ let prep_key options l =
   { key_loop = l; key_options = { options with order_paths = default_options.order_paths } }
 
 (* Key hashing rides on the digest the frontend computed once at loop
-   construction: the default polymorphic hash samples only the first
-   handful of AST nodes, so generated corpus loops collided and every
-   probe degenerated into long-chain structural comparisons of whole
-   loops.  The digest check also serves as a cheap pre-filter before
-   the full structural equality on the rare chain collision. *)
+   construction (the polymorphic hash samples only the first few AST
+   nodes, so generated corpus loops collided); the digest also
+   pre-filters the full structural equality. *)
 module Key = struct
-  type t = prep_key
-
   let equal a b =
     a.key_options = b.key_options
     && (a.key_loop == b.key_loop
@@ -63,33 +59,21 @@ module Key = struct
   let hash k = k.key_loop.Ast.digest lxor Hashtbl.hash k.key_options
 end
 
-module Memo_tbl = Hashtbl.Make (Key)
+(* Racing workers that miss on one key compute it once; the bound keeps
+   a long-lived daemon, whose explain requests reach [prepare], from
+   retaining every loop it saw.  The largest bench run has 231 keys. *)
+let memo =
+  Isched_util.Cache.create ~name:"pipeline.memo" ~capacity:1024 ~hash:Key.hash ~equal:Key.equal ()
 
-(* The memo is striped: [n_shards] independent (mutex, table) pairs,
-   indexed by the key's digest.  Concurrent table/ablation cells that
-   probe different loops then take different locks, instead of
-   serializing ~20k probes per bench run behind one global mutex. *)
-let n_shards = 16 (* power of two *)
+let memo_counter suffix = Counters.counter ("pipeline.memo." ^ suffix)
 
-type shard = { shard_lock : Mutex.t; table : prepared Memo_tbl.t }
-
-let shards =
-  Array.init n_shards (fun _ -> { shard_lock = Mutex.create (); table = Memo_tbl.create 16 })
-
-let shard_for key = shards.(Key.hash key land (n_shards - 1))
-
-(* The memo accounting now lives in the process-wide counter registry
-   (it used to be two private atomics) so --counters and the bench
-   records read the same numbers as [memo_stats]. *)
-let c_hits = Counters.counter "pipeline.memo.hit"
-let c_misses = Counters.counter "pipeline.memo.miss"
-
-let memo_stats () = (Counters.value c_hits, Counters.value c_misses)
+let memo_stats () = (Counters.value (memo_counter "hit"), Counters.value (memo_counter "miss"))
 
 let memo_clear () =
-  Array.iter (fun s -> Mutex.protect s.shard_lock (fun () -> Memo_tbl.reset s.table)) shards;
-  Counters.reset_counter c_hits;
-  Counters.reset_counter c_misses
+  Isched_util.Cache.clear memo;
+  List.iter
+    (fun s -> Counters.reset_counter (memo_counter s))
+    [ "hit"; "miss"; "evict"; "coalesced" ]
 
 let prepare_uncached (options : options) (l : Ast.loop) =
   Span.with_ ~name:"pipeline.prepare" ~args:[ ("loop", l.Ast.name) ] (fun () ->
@@ -117,20 +101,9 @@ let prepare_uncached (options : options) (l : Ast.loop) =
       end)
 
 let prepare ?(options = default_options) (l : Ast.loop) =
-  let key = prep_key options l in
-  let shard = shard_for key in
-  match Mutex.protect shard.shard_lock (fun () -> Memo_tbl.find_opt shard.table key) with
-  | Some p ->
-    Counters.incr c_hits;
-    p
-  | None ->
-    (* Computed outside the lock: concurrent workers may race to prepare
-       the same loop (both results are equal; last insert wins), but the
-       expensive work never serializes behind the mutex. *)
-    let p = prepare_uncached options l in
-    Counters.incr c_misses;
-    Mutex.protect shard.shard_lock (fun () -> Memo_tbl.replace shard.table key p);
-    p
+  fst
+    (Isched_util.Cache.find_or_compute memo (prep_key options l) (fun () ->
+         prepare_uncached options l))
 
 let schedule_inner ~options prepared machine which =
   match prepared with

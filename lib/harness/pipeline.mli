@@ -47,9 +47,11 @@ type prepared =
     can never return a stale preparation: the tables, sweeps and
     ablations re-prepare the same corpus loops many times, and
     restructuring + code generation + graph construction dominate their
-    cost.  The cache is protected by a mutex and safe to hit from
-    {!Isched_util.Pool} workers; the cached structures are never mutated
-    downstream. *)
+    cost.  The memo is an {!Isched_util.Cache}: bounded at 1024 entries
+    (least-recently-used out first) and coalescing — concurrent callers
+    that miss on the same key from {!Isched_util.Pool} workers compute
+    it once and the rest wait for that result.  The cached structures
+    are never mutated downstream. *)
 val prepare : ?options:options -> Ast.loop -> prepared
 
 (** [prepare_uncached options l] — {!prepare} without the memo: nothing
@@ -58,12 +60,14 @@ val prepare : ?options:options -> Ast.loop -> prepared
 val prepare_uncached : options -> Ast.loop -> prepared
 
 (** [memo_stats ()] — cumulative (hits, misses) of the {!prepare} memo
-    cache.  Backed by the {!Isched_obs.Counters} registry (counters
-    [pipeline.memo.hit] / [pipeline.memo.miss]); both views always
-    agree. *)
+    cache; a caller that waited on another's in-flight compute counts
+    as a hit.  Backed by the {!Isched_obs.Counters} registry (counters
+    [pipeline.memo.hit] / [pipeline.memo.miss], next to
+    [pipeline.memo.evict] / [pipeline.memo.coalesced]); both views
+    always agree. *)
 val memo_stats : unit -> int * int
 
-(** [memo_clear ()] — drop the {!prepare} cache and reset its
+(** [memo_clear ()] — drop the {!prepare} cache and reset its four
     counters (for tests and memory-sensitive callers). *)
 val memo_clear : unit -> unit
 

@@ -6,6 +6,7 @@ module Machine = Isched_ir.Machine
 module Schedule = Isched_core.Schedule
 module Lbd_model = Isched_core.Lbd_model
 module Pipeline = Isched_harness.Pipeline
+module Cache = Isched_util.Cache
 module Json = Isched_obs.Json
 module Counters = Isched_obs.Counters
 module Rolling = Isched_obs.Rolling
@@ -47,33 +48,35 @@ let default_config ~socket_path =
 
 (* --- the schedule cache --- *)
 
-(* One cache entry per (loop, machine, scheduler, trip-count override,
-   pass configuration): everything the pipeline's answer depends on.
-   [k_sync_elim] is the RESOLVED setting (request override or server
-   default), so the same loop served with and without elimination
-   occupies two distinct entries — a toggled option can never be
-   answered from a stale schedule.  The loop's structural digest
-   (computed once at construction, see Ast.make_loop) carries the hash;
-   equality pre-filters on it before the full structural compare,
-   exactly like the prepare memo's key. *)
+(* One cache entry per (loop, machine, scheduler, options): [k_options]
+   is the RESOLVED record [handle_schedule] hands to [compute_loop], and
+   equality compares it whole, so no option can be left out of the key.
+   The hash is pinned bit for bit, since the benchmark's traced serve
+   replica recomputes it to mirror the stripes.  The loop's digest (see
+   Ast.make_loop) pre-filters the structural compare, as in the prepare
+   memo's key. *)
 type sched_key = {
-  k_digest : int;
   k_loop : Ast.loop;
   k_scheduler : Protocol.scheduler;
   k_issue : int;
   k_nfu : int;
-  k_n_iters : int option;
-  k_sync_elim : bool;
+  k_options : Pipeline.options;
 }
 
 let key_hash k =
-  k.k_digest lxor Hashtbl.hash (k.k_scheduler, k.k_issue, k.k_nfu, k.k_n_iters, k.k_sync_elim)
+  k.k_loop.Ast.digest
+  lxor Hashtbl.hash
+         (k.k_scheduler, k.k_issue, k.k_nfu, k.k_options.Pipeline.n_iters, k.k_options.sync_elim)
 
 let key_equal a b =
   a.k_scheduler = b.k_scheduler && a.k_issue = b.k_issue && a.k_nfu = b.k_nfu
-  && a.k_n_iters = b.k_n_iters
-  && a.k_sync_elim = b.k_sync_elim
-  && (a.k_loop == b.k_loop || (a.k_digest = b.k_digest && a.k_loop = b.k_loop))
+  && a.k_options = b.k_options
+  && (a.k_loop == b.k_loop
+     || (a.k_loop.Ast.digest = b.k_loop.Ast.digest && a.k_loop = b.k_loop))
+
+let cache_key_hash l ~scheduler ~issue ~nfu options =
+  key_hash
+    { k_loop = l; k_scheduler = scheduler; k_issue = issue; k_nfu = nfu; k_options = options }
 
 (* The cached value keeps three forms of the answer: the structured
    reply (for explain requests, which re-attach a payload), its
@@ -113,8 +116,8 @@ let create config =
   {
     config;
     cache =
-      Cache.create ~stripes:config.cache_stripes ~capacity:config.cache_capacity ~hash:key_hash
-        ~equal:key_equal ();
+      Cache.create ~name:"serve.cache" ~stripes:config.cache_stripes
+        ~capacity:config.cache_capacity ~hash:key_hash ~equal:key_equal ();
     explain_lock = Mutex.create ();
     requests = Atomic.make 0;
     stop_flag = Atomic.make false;
@@ -315,13 +318,11 @@ let handle_schedule t ?trace ~source ~scheduler ~issue ~nfu ~n_iters ~sync_elim 
           (fun (l : Ast.loop) ->
             let key =
               {
-                k_digest = l.Ast.digest;
                 k_loop = l;
                 k_scheduler = scheduler;
                 k_issue = issue;
                 k_nfu = nfu;
-                k_n_iters = n_iters;
-                k_sync_elim = sync_elim;
+                k_options = options;
               }
             in
             let cached, verdict = probe l key in

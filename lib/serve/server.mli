@@ -12,13 +12,13 @@
       server's lifetime (the lesson of the PR-5 domain pool: domain
       spawn is a stop-the-world event, so it must be off the request
       path), each serving whole connections frame by frame;
-    - a digest-keyed schedule {!Cache} in front of the pipeline, so
-      repeat traffic costs a striped-LRU probe instead of a
-      restructure + codegen + schedule + simulate pass.  The pipeline
-      half runs uncached ({!Isched_harness.Pipeline.prepare_uncached}):
-      the LRU bound on the schedule cache is then the {e only}
-      request-driven retention, which keeps the daemon's RSS bounded
-      under arbitrary traffic (the soak test pins this);
+    - a digest-keyed schedule {!Isched_util.Cache} in front of the
+      pipeline, so repeat traffic costs a striped-LRU probe instead of
+      a restructure + codegen + schedule + simulate pass.  The pipeline
+      half runs uncached ({!Isched_harness.Pipeline.prepare_uncached});
+      explain requests go through the equally bounded prepare memo.
+      The LRU bounds keep the daemon's RSS bounded under arbitrary
+      traffic (the soak test pins this);
     - graceful drain: {!stop} (or SIGTERM/SIGINT via
       {!install_signal_handlers}) stops the accept loop, lets every
       queued and in-flight request finish, closes the connections at
@@ -113,6 +113,18 @@ val metrics_exposition : t -> string
 
 (** [cache_length t] — ready entries in the schedule cache. *)
 val cache_length : t -> int
+
+(** [cache_key_hash l ~scheduler ~issue ~nfu options] — the schedule
+    cache's stripe hash, pinned for the benchmark's replica:
+    [l.digest lxor Hashtbl.hash (scheduler, issue, nfu, options.n_iters,
+    options.sync_elim)]. *)
+val cache_key_hash :
+  Isched_frontend.Ast.loop ->
+  scheduler:Protocol.scheduler ->
+  issue:int ->
+  nfu:int ->
+  Isched_harness.Pipeline.options ->
+  int
 
 (** [corrupt_cached_schedules t] — fault injection for the validation
     test: overwrite the issue cycle of every instruction of every

@@ -1,33 +1,37 @@
-(** Bounded, striped, digest-keyed result cache for the scheduling
-    service.
+(** Bounded, striped, compute-coalescing cache: the one cache
+    implementation behind both the pipeline's prepare memo
+    ({!Isched_harness.Pipeline.prepare}) and the scheduling service's
+    schedule cache.
 
-    Like the {!Isched_harness.Pipeline} prepare memo, the cache is
-    striped: [stripes] independent (mutex, LRU list) pairs indexed by
-    the key's hash, so concurrent requests for different keys take
-    different locks.  Unlike the memo it is bounded: the total capacity
-    is split evenly across stripes and each stripe evicts its
-    least-recently-used ready entry when its share is exceeded.
+    The cache is striped: [stripes] independent (mutex, LRU list) pairs
+    indexed by the key's hash, so concurrent lookups of different keys
+    take different locks.  It is bounded: the total capacity is split
+    evenly across stripes and each stripe evicts its least-recently-used
+    ready entry when its share is exceeded.
 
     Lookups are compute-coalescing: when several domains ask for the
     same absent key at once, exactly one runs the compute function and
     the rest block until the value is ready (the "exactly-once compute
-    per digest" guarantee the test suite hammers).  If the compute
+    per key" guarantee the test suite hammers).  If the compute
     function raises, the placeholder is removed, the waiters retry (one
     of them becomes the new computer) and the exception propagates to
     the original caller.
 
-    Counters: [serve.cache.hit], [serve.cache.miss],
-    [serve.cache.evict], [serve.cache.coalesced] (lookups that waited
-    on another domain's in-flight compute). *)
+    Counters: a cache created with [~name] registers [<name>.hit],
+    [<name>.miss], [<name>.evict] and [<name>.coalesced] (lookups that
+    waited on another domain's in-flight compute; they also count as
+    hits).  An unnamed cache counts nothing. *)
 
 type ('k, 'v) t
 
-(** [create ?stripes ~capacity ~hash ~equal ()] — [capacity] (>= 1) is
-    the total bound; [stripes] (default 16) must divide the work of
-    [hash] evenly for balance but any positive count is legal (tests
-    use 1 stripe for exact global LRU order).  Each stripe holds at
-    most [ceil (capacity / stripes)] (minimum 1) ready entries. *)
+(** [create ?name ?stripes ~capacity ~hash ~equal ()] — [capacity]
+    (>= 1) is the total bound; [name] registers the counters above;
+    [stripes] (default 16) must divide the work of [hash] evenly for
+    balance but any positive count is legal (tests use 1 stripe for
+    exact global LRU order).  Each stripe holds at most
+    [ceil (capacity / stripes)] (minimum 1) ready entries. *)
 val create :
+  ?name:string ->
   ?stripes:int -> capacity:int -> hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit ->
   ('k, 'v) t
 

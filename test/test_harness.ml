@@ -157,28 +157,63 @@ let test_prepare_memo () =
   check Alcotest.int "second miss" 2 (snd (Pipeline.memo_stats ()))
 
 let test_prepare_memo_concurrent () =
-  (* Eight domains racing [prepare] on the identical key: the striped
-     memo computes outside the lock, so racers may duplicate the miss
-     work, but every caller must get a structurally equal result and
-     the hit/miss ledger must account for every call. *)
+  (* Eight domains racing [prepare] on the identical key: the memo
+     coalesces, so exactly one of them computes, the other seven wait
+     for (or find) that very result, and every caller gets the same
+     physical preparation.  The loop is long enough (a 60-statement
+     recurrence) and the start gate tight enough that, without
+     coalescing, racers do compute it again. *)
   Pipeline.memo_clear ();
-  let l = Isched_frontend.Parser.parse_loop "DOACROSS I = 1, 10\n A[I] = A[I-1]\nENDDO" in
-  let mach = Machine.make ~issue:4 ~nfu:1 () in
-  let domains = Array.init 8 (fun _ -> Domain.spawn (fun () -> Pipeline.prepare l)) in
+  let source =
+    "DOACROSS I = 1, 10\n"
+    ^ String.concat ""
+        (List.init 60 (fun k -> Printf.sprintf " A%d[I] = A%d[I-1] + A%d[I-2]\n" k k k))
+    ^ "ENDDO"
+  in
+  let l = Isched_frontend.Parser.parse_loop source in
+  let ready = Atomic.make 0 in
+  let domains =
+    Array.init 8 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 8 do
+              Domain.cpu_relax ()
+            done;
+            Pipeline.prepare l))
+  in
   let results = Array.map Domain.join domains in
-  let time p = Pipeline.loop_time p mach Pipeline.New_scheduling in
-  let reference = time results.(0) in
-  Array.iter (fun p -> check Alcotest.int "same schedule time" reference (time p)) results;
+  Array.iter
+    (fun p -> Alcotest.(check bool) "one shared preparation" true (p == results.(0)))
+    results;
   let hits, misses = Pipeline.memo_stats () in
-  check Alcotest.int "every call accounted" 8 (hits + misses);
-  Alcotest.(check bool) "at least one miss" true (misses >= 1);
+  check Alcotest.int "exactly one miss" 1 misses;
+  check Alcotest.int "seven hits" 7 hits;
   (* A fresh parse of the same source is a physically distinct but
      digest-equal key: it must hit the entry the racers installed. *)
-  let l2 = Isched_frontend.Parser.parse_loop "DOACROSS I = 1, 10\n A[I] = A[I-1]\nENDDO" in
-  let hits_before = fst (Pipeline.memo_stats ()) in
-  check Alcotest.int "structurally equal key, equal result" reference (time (Pipeline.prepare l2));
-  Alcotest.(check bool) "structurally equal key hits" true
-    (fst (Pipeline.memo_stats ()) > hits_before)
+  let l2 = Isched_frontend.Parser.parse_loop source in
+  Alcotest.(check bool) "structurally equal key hits" true (Pipeline.prepare l2 == results.(0));
+  check Alcotest.int "still one miss" 1 (snd (Pipeline.memo_stats ()))
+
+let test_prepare_memo_bounded () =
+  (* 1025 distinct loops through a 1024-entry memo: something must be
+     evicted, and no more than the capacity is ever retained. *)
+  Pipeline.memo_clear ();
+  for n = 10 to 1034 do
+    ignore
+      (Pipeline.prepare
+         (Isched_frontend.Parser.parse_loop
+            (Printf.sprintf "DOACROSS I = 1, %d\n A[I] = A[I-1]\nENDDO" n)))
+  done;
+  let counter name =
+    match Isched_obs.Counters.find name with
+    | Some (Isched_obs.Counters.Counter n) -> n
+    | _ -> Alcotest.failf "counter %s is not registered" name
+  in
+  let misses = snd (Pipeline.memo_stats ()) and evicted = counter "pipeline.memo.evict" in
+  check Alcotest.int "every loop missed" 1025 misses;
+  Alcotest.(check bool) "the bound evicted" true (evicted >= 1);
+  Alcotest.(check bool) "at most 1024 retained" true (misses - evicted <= 1024);
+  Pipeline.memo_clear ()
 
 let test_options_respected () =
   let l = Isched_frontend.Parser.parse_loop "DOACROSS I = 1, 50\n A[5] = A[5] + E[I]\nENDDO" in
@@ -284,4 +319,5 @@ let suite =
     ("measure: domain pool equals sequential", `Quick, test_measure_pool_matches_sequential);
     ("pipeline: prepare memoization", `Quick, test_prepare_memo);
     ("pipeline: memo safe under 8-way identical keys", `Quick, test_prepare_memo_concurrent);
+    ("pipeline: memo is bounded", `Quick, test_prepare_memo_bounded);
   ]

@@ -6,7 +6,7 @@
    session with graceful drain. *)
 
 module Protocol = Isched_serve.Protocol
-module Cache = Isched_serve.Cache
+module Cache = Isched_util.Cache
 module Server = Isched_serve.Server
 module Client = Isched_serve.Client
 module Json = Isched_obs.Json
@@ -467,10 +467,16 @@ let test_handler_errors () =
 let elim_kernel = "DOACROSS I = 1, 50\n IF (E[I] > 0) S = S + Q[I] * C[I]\nENDDO"
 
 let test_cache_key_covers_sync_elim () =
-  let server = Server.create (Server.default_config ~socket_path:"/tmp/unused.sock") in
-  let ask ?sync_elim () =
+  (* One stripe: every entry shares a list, so key equality alone — not
+     a lucky split across stripes — must keep the settings apart. *)
+  let server =
+    Server.create
+      { (Server.default_config ~socket_path:"/tmp/unused.sock") with Server.cache_stripes = 1 }
+  in
+  let ask ?n_iters ?sync_elim () =
     match
-      Server.handle server (Protocol.schedule_request ?sync_elim (Protocol.Text elim_kernel))
+      Server.handle server
+        (Protocol.schedule_request ?n_iters ?sync_elim (Protocol.Text elim_kernel))
     with
     | Protocol.Scheduled { cache_hit; loops = [ r ] } -> (cache_hit, r)
     | Protocol.Error { message; _ } -> Alcotest.failf "error: %s" message
@@ -494,7 +500,44 @@ let test_cache_key_covers_sync_elim () =
      entry. *)
   let hit_explicit, _ = ask ~sync_elim:false () in
   Alcotest.(check bool) "explicit false hits the resolved-default entry" true hit_explicit;
-  Alcotest.(check int) "still two entries" 2 (Server.cache_length server)
+  Alcotest.(check int) "still two entries" 2 (Server.cache_length server);
+  (* A trip-count override is another option of the resolved record:
+     its own entry, and an explicit [None] is the default entry. *)
+  let hit_iters, iters = ask ~n_iters:7 () in
+  Alcotest.(check bool) "an n_iters override is a MISS" false hit_iters;
+  Alcotest.(check int) "three distinct cache entries" 3 (Server.cache_length server);
+  Alcotest.(check bool) "the override serves a different time" true
+    (iters.Protocol.parallel_time <> base.Protocol.parallel_time);
+  let hit_iters', _ = ask ~n_iters:7 () in
+  Alcotest.(check bool) "override entry warm" true hit_iters';
+  let hit_none, none = ask ?n_iters:None () in
+  Alcotest.(check bool) "explicit None hits the default entry" true hit_none;
+  Alcotest.(check bool) "default entry stable" true (none.Protocol.rows = base.Protocol.rows);
+  Alcotest.(check int) "still three entries" 3 (Server.cache_length server)
+
+(* The key's hash picks the stripe, and the benchmark's traced replica
+   recomputes it to mirror the daemon's cache: it must stay exactly
+   [digest lxor Hashtbl.hash (scheduler, issue, nfu, n_iters,
+   sync_elim)] for every option record a request can resolve to. *)
+let test_cache_key_hash_pinned () =
+  List.iter
+    (fun (l : Ast.loop) ->
+      List.iter
+        (fun scheduler ->
+          List.iter
+            (fun (_, (m : Machine.t)) ->
+              let issue = m.Machine.issue_width and nfu = m.Machine.fu_counts.(0) in
+              List.iter
+                (fun (n_iters, sync_elim) ->
+                  let options = { Pipeline.default_options with n_iters; sync_elim } in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s hash" l.Ast.name)
+                    (l.Ast.digest lxor Hashtbl.hash (scheduler, issue, nfu, n_iters, sync_elim))
+                    (Server.cache_key_hash l ~scheduler ~issue ~nfu options))
+                [ (None, false); (None, true); (Some 7, false); (Some 7, true) ])
+            Machine.paper_configs)
+        [ Protocol.Sched_list; Protocol.Sched_marker; Protocol.Sched_new ])
+    (Suite.all_loops ())
 
 (* --- the --validate injection --- *)
 
@@ -1015,4 +1058,5 @@ let suite =
     Alcotest.test_case "daemon: telemetry is inert when counters are disabled" `Quick
       test_telemetry_inert_when_disabled;
     Alcotest.test_case "daemon: --metrics-file dumps atomically" `Quick test_metrics_file_dump;
+    Alcotest.test_case "server: cache key hash is pinned" `Quick test_cache_key_hash_pinned;
   ]
