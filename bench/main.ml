@@ -384,18 +384,7 @@ module Serve_bench = struct
   module Client = Isched_serve.Client
   module Protocol = Isched_serve.Protocol
   module Prng = Isched_util.Prng
-  module Counters = Isched_obs.Counters
-
-  (* Client-side latency histograms (log2 of nanoseconds, so the whole
-     ns..minutes range fits the 0..63 buckets); the exact p50/p99/p999
-     the record carries come from the raw per-domain sample arrays. *)
-  let d_hit_latency = Counters.dist "serve.bench.hit_latency_log2ns"
-
-  let d_miss_latency = Counters.dist "serve.bench.miss_latency_log2ns"
-
-  let log2i n =
-    let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-    if n <= 0 then 0 else go 0 n
+  module Hist = Isched_obs.Hist
 
   (* Zipf-skewed key popularity: rank r (0-based) drawn with probability
      proportional to 1/(r+1)^theta; theta 0 is uniform.  Precomputed CDF
@@ -419,12 +408,6 @@ module Serve_bench = struct
     done;
     !lo
 
-  (* Nearest-rank percentile of an ascending array. *)
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.
-    else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-
   (* The canonical response encoding starts with a fixed envelope, so
      the load generator classifies hit/miss with a prefix check instead
      of parsing 400-byte JSON bodies off the timed path (the protocol
@@ -434,47 +417,47 @@ module Serve_bench = struct
   let miss_prefix = "{\"status\": \"ok\", \"op\": \"schedule\", \"cache\": \"miss\""
 
   (* One client domain: one connection, [quota] requests drawn from the
-     shared popularity distribution with a private PRNG stream. *)
+     shared popularity distribution with a private PRNG stream; the
+     latencies land in a private hit and a private miss histogram. *)
   let worker ~socket ~names ~cdf ~seed ~quota =
     let rng = Prng.create seed in
-    let lat = Array.make quota nan in
-    let hits = Array.make quota false in
+    let hit = Array.make Hist.n_buckets 0 and miss = Array.make Hist.n_buckets 0 in
     let errors = ref 0 in
+    let record h t0 =
+      let b = Hist.index (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)) in
+      h.(b) <- h.(b) + 1
+    in
     Client.with_connection socket (fun c ->
-        for i = 0 to quota - 1 do
+        for _ = 1 to quota do
           let name = names.(pick rng cdf) in
           let req = Protocol.schedule_request (Protocol.Corpus_loop name) in
           let t0 = Unix.gettimeofday () in
           match Client.request_raw c req with
-          | Ok payload
-            when String.starts_with ~prefix:hit_prefix payload
-                 || String.starts_with ~prefix:miss_prefix payload ->
-            let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-            let cache_hit = String.starts_with ~prefix:hit_prefix payload in
-            lat.(i) <- ns;
-            hits.(i) <- cache_hit;
-            Counters.observe
-              (if cache_hit then d_hit_latency else d_miss_latency)
-              (log2i (int_of_float ns))
+          | Ok payload when String.starts_with ~prefix:hit_prefix payload -> record hit t0
+          | Ok payload when String.starts_with ~prefix:miss_prefix payload -> record miss t0
           | Ok _ | Error _ -> incr errors
         done);
-    (lat, hits, !errors)
+    (hit, miss, !errors)
 
-  let summarize name sorted =
-    if Array.length sorted = 0 then
-      Printf.printf "  %-10s (no samples)\n" name
-    else
-      Printf.printf "  %-10s n=%-8d p50=%8.1fus  p99=%8.1fus  p999=%8.1fus\n" name
-        (Array.length sorted)
-        (percentile sorted 0.50 /. 1e3)
-        (percentile sorted 0.99 /. 1e3)
-        (percentile sorted 0.999 /. 1e3)
+  (* Percentiles are bucket upper bounds, within 25% of the exact
+     order statistic. *)
+  let ns h p = float_of_int (Hist.quantile h p)
 
-  let pcts_json sorted =
-    Printf.sprintf
-      "{ \"count\": %d, \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f }"
-      (Array.length sorted) (percentile sorted 0.50) (percentile sorted 0.99)
-      (percentile sorted 0.999)
+  let total h = Array.fold_left ( + ) 0 h
+
+  let summarize name h =
+    match total h with
+    | 0 -> Printf.printf "  %-10s (no samples)\n" name
+    | n ->
+      Printf.printf "  %-10s n=%-8d p50=%8.1fus  p99=%8.1fus  p999=%8.1fus\n" name n
+        (ns h 0.50 /. 1e3)
+        (ns h 0.99 /. 1e3)
+        (ns h 0.999 /. 1e3)
+
+  let pcts_json h =
+    Printf.sprintf "{ \"count\": %d, \"p50_ns\": %d, \"p99_ns\": %d, \"p999_ns\": %d }"
+      (total h) (Hist.quantile h 0.50) (Hist.quantile h 0.99)
+      (Hist.quantile h 0.999)
 
   (* Returns the JSON fragment recorded under "serve" in the perf
      record. *)
@@ -558,30 +541,22 @@ module Serve_bench = struct
       Server.stop s;
       Domain.join d);
     let errors = List.fold_left (fun a (_, _, e) -> a + e) 0 results in
-    let collect want =
-      let out = ref [] in
-      List.iter
-        (fun (lat, hits, _) ->
-          Array.iteri
-            (fun i ns -> if (not (Float.is_nan ns)) && want hits.(i) then out := ns :: !out)
-            lat)
-        results;
-      let a = Array.of_list !out in
-      Array.sort compare a;
-      a
+    let merge pick =
+      let m = Array.make Hist.n_buckets 0 in
+      List.iter (fun r -> Array.iteri (fun i c -> m.(i) <- m.(i) + c) (pick r)) results;
+      m
     in
-    let all = collect (fun _ -> true) in
-    let hit = collect (fun h -> h) in
-    let miss = collect (fun h -> not h) in
+    let hit = merge (fun (h, _, _) -> h) and miss = merge (fun (_, m, _) -> m) in
+    let all = Array.map2 ( + ) hit miss in
     Printf.printf "replayed %d requests in %.2f s (%.0f req/s), %d error(s)\n" cli.requests wall
       (float_of_int cli.requests /. wall)
       errors;
     summarize "all" all;
     summarize "warm(hit)" hit;
     summarize "cold(miss)" miss;
-    if Array.length hit > 0 && Array.length miss > 0 then
+    if total hit > 0 && total miss > 0 then
       Printf.printf "  warm-cache p50 is %.1fx below the cold-path p50\n"
-        (percentile miss 0.50 /. Float.max 1. (percentile hit 0.50));
+        (ns miss 0.50 /. Float.max 1. (ns hit 0.50));
     (match server_window with
     | None -> ()
     | Some (p50, p99, rate, count, hit_ratio) ->
@@ -592,9 +567,9 @@ module Serve_bench = struct
          socket hops and its own decode-free read — so the server p50
          sits at or below the client p50, within the same order of
          magnitude (and its bucketed quantiles overshoot <= 25%). *)
-      if Array.length all > 0 && p50 > 0. then
+      if total all > 0 && p50 > 0. then
         Printf.printf "  cross-check: server/client p50 ratio %.2f\n"
-          (p50 /. Float.max 1. (percentile all 0.50)));
+          (p50 /. Float.max 1. (ns all 0.50)));
     let server_window_json =
       match server_window with
       | None -> "null"

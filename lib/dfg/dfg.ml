@@ -211,10 +211,8 @@ let[@inline] push_pair a v =
   a.n_pairs <- a.n_pairs + 1
 
 let c_arcs = Isched_obs.Counters.counter "dfg.arcs"
-let c_build_ns = Isched_obs.Counters.counter "dfg.build_ns"
 
 let build ?(sync_arcs = true) (p : Program.t) =
-  let t0 = Unix.gettimeofday () in
   let n = Array.length p.body in
   if n >= 1 lsl 26 then invalid_arg "Dfg.build: body too large for packed arcs";
   let a = Domain.DLS.get arena_key in
@@ -363,8 +361,6 @@ let build ?(sync_arcs = true) (p : Program.t) =
     pred_arc.(pred_cur.(dst)) <- (src lsl 10) lor kind_lat
   done;
   Isched_obs.Counters.add c_arcs n_arcs;
-  Isched_obs.Counters.add c_build_ns
-    (int_of_float (1e9 *. (Unix.gettimeofday () -. t0)));
   { prog = p; n; n_arcs; succ_off; succ_arc; pred_off; pred_arc;
     memo = { lp = None; paths = None; lfd = None; groups = None; order = None; fuc = None } }
 

@@ -116,8 +116,7 @@ val preds_list : t -> int -> arc list
     stale data; the [stale_data_demo] example and the simulator tests
     use this to reproduce the motivating bug.
 
-    Updates the counters [dfg.arcs] (arcs constructed) and
-    [dfg.build_ns] (cumulative build nanoseconds). *)
+    Updates the counter [dfg.arcs] (arcs constructed). *)
 val build : ?sync_arcs:bool -> Program.t -> t
 
 (** [build_reference p] — the retained pre-arena list-based builder:

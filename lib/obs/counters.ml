@@ -30,16 +30,12 @@ type dist_shard = {
   sum : int Atomic.t;
   mn : int Atomic.t;
   mx : int Atomic.t;
-  (* Slot 0 counts negative samples, slots 1..64 the exact values 0..63,
-     slot 65 everything >= 64. *)
-  buckets : int Atomic.t array;
+  (* [Hist] bucket counts, allocated on the shard's first sample: most
+     of a dist's shards never see one.  Empty reads as all zeros. *)
+  buckets : int Atomic.t array Atomic.t;
 }
 
 type dist = dist_shard array (* length n_shards *)
-
-let n_buckets = 66
-let bucket_index v = if v < 0 then 0 else if v >= 64 then n_buckets - 1 else v + 1
-let bucket_repr i = if i = 0 then -1 else if i = n_buckets - 1 then 64 else i - 1
 
 type item = C of counter | D of dist
 
@@ -68,7 +64,7 @@ let fresh_dist_shard () =
     sum = Atomic.make 0;
     mn = Atomic.make max_int;
     mx = Atomic.make min_int;
-    buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
+    buckets = Atomic.make [||];
   }
 
 (* One dist shard is a handful of adjacent atomics, but they are all
@@ -104,6 +100,15 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
+let shard_buckets (s : dist_shard) =
+  let b = Atomic.get s.buckets in
+  if Array.length b > 0 then b
+  else begin
+    let fresh = Array.init Hist.n_buckets (fun _ -> Atomic.make 0) in
+    ignore (Atomic.compare_and_set s.buckets b fresh);
+    Atomic.get s.buckets
+  end
+
 let observe (d : dist) v =
   if Atomic.get enabled_flag then begin
     let s = d.(shard_index ()) in
@@ -111,7 +116,7 @@ let observe (d : dist) v =
     ignore (Atomic.fetch_and_add s.sum v);
     atomic_min s.mn v;
     atomic_max s.mx v;
-    Atomic.incr s.buckets.(bucket_index v)
+    Atomic.incr (shard_buckets s).(Hist.index v)
   end
 
 type dist_stats = {
@@ -124,9 +129,13 @@ type dist_stats = {
 
 let dist_stats (d : dist) =
   let buckets = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    let c = Array.fold_left (fun acc (s : dist_shard) -> acc + Atomic.get s.buckets.(i)) 0 d in
-    if c > 0 then buckets := (bucket_repr i, c) :: !buckets
+  let merged = Array.make Hist.n_buckets 0 in
+  Array.iter
+    (fun (s : dist_shard) ->
+      Array.iteri (fun i c -> merged.(i) <- merged.(i) + Atomic.get c) (Atomic.get s.buckets))
+    d;
+  for i = Hist.n_buckets - 1 downto 0 do
+    if merged.(i) > 0 then buckets := (Hist.upper i, merged.(i)) :: !buckets
   done;
   (* Empty shards carry the [max_int]/[min_int] sentinels, which the
      min/max merge ignores by construction. *)
@@ -162,7 +171,7 @@ let reset_item = function
         Atomic.set s.sum 0;
         Atomic.set s.mn max_int;
         Atomic.set s.mx min_int;
-        Array.iter (fun b -> Atomic.set b 0) s.buckets)
+        Array.iter (fun b -> Atomic.set b 0) (Atomic.get s.buckets))
       d
 
 let reset () = Mutex.protect lock (fun () -> Hashtbl.iter (fun _ item -> reset_item item) registry)
@@ -210,13 +219,9 @@ let render_prometheus () =
         Printf.bprintf b "# TYPE %s histogram\n" m;
         let cum = ref 0 in
         List.iter
-          (fun (repr, c) ->
-            (* repr 64 is the open-ended >= 64 bucket: it has no finite
-               upper bound, so it only contributes to +Inf. *)
-            if repr < 64 then begin
-              cum := !cum + c;
-              Printf.bprintf b "%s_bucket{le=\"%d\"} %d\n" m repr !cum
-            end)
+          (fun (upper, c) ->
+            cum := !cum + c;
+            Printf.bprintf b "%s_bucket{le=\"%d\"} %d\n" m upper !cum)
           s.buckets;
         (* Concurrent updates can leave the snapshot's count a hair off
            the bucket sum; clamp so the +Inf bucket stays monotone. *)
@@ -226,27 +231,25 @@ let render_prometheus () =
     (snapshot ());
   Buffer.contents b
 
-let to_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (name, e) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf " %s: " (Json.quote name));
-      match e with
-      | Counter v -> Buffer.add_string b (string_of_int v)
-      | Dist s ->
-        let mn = if s.count = 0 then 0 else s.min_v in
-        let mx = if s.count = 0 then 0 else s.max_v in
-        let buckets =
-          s.buckets
-          |> List.map (fun (repr, c) -> Printf.sprintf "[%d, %d]" repr c)
-          |> String.concat ", "
-        in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{ \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"buckets\": [%s] }" s.count
-             s.sum mn mx buckets))
-    (snapshot ());
-  Buffer.add_string b " }";
-  Buffer.contents b
+let to_value () =
+  let num i = Json.Num (float_of_int i) in
+  Json.Obj
+    (List.map
+       (fun (name, e) ->
+         match e with
+         | Counter v -> (name, num v)
+         | Dist s ->
+           let bound v = if s.count = 0 then 0 else v in
+           ( name,
+             Json.Obj
+               [
+                 ("count", num s.count);
+                 ("sum", num s.sum);
+                 ("min", num (bound s.min_v));
+                 ("max", num (bound s.max_v));
+                 ( "buckets",
+                   Json.Arr (List.map (fun (u, c) -> Json.Arr [ num u; num c ]) s.buckets) );
+               ] ))
+       (snapshot ()))
+
+let to_json () = Json.to_string (to_value ())

@@ -29,8 +29,8 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 (** [observe d v] records one sample.  Distributions keep count, sum,
-    min, max and a fixed histogram: one bucket per exact value in
-    [0..63], one for negatives, one for [>= 64]. *)
+    min, max and a {!Hist} histogram: one bucket for negatives, one per
+    exact value in [0..63], four per power of two above. *)
 val observe : dist -> int -> unit
 
 type dist_stats = {
@@ -39,9 +39,10 @@ type dist_stats = {
   min_v : int;  (** meaningless when [count = 0] *)
   max_v : int;  (** meaningless when [count = 0] *)
   buckets : (int * int) list;
-      (** non-empty buckets as [(representative, count)]: [-1] stands
-          for "any negative value", [64] for "any value >= 64", other
-          representatives are the exact sample value *)
+      (** non-empty buckets as [(upper bound, count)], ascending:
+          [-1] stands for "any negative value", bounds below 64 are the
+          exact sample value, larger ones cover the values down to the
+          previous bound + 1 (see {!Hist.upper}) *)
 }
 
 val dist_stats : dist -> dist_stats
@@ -78,16 +79,17 @@ val prometheus_name : string -> string
 (** [render_prometheus ()] — {!snapshot} in the Prometheus text
     exposition format: counters as [# TYPE … counter] singles,
     distributions as [# TYPE … histogram] with cumulative
-    [_bucket{le="…"}] lines built from the fixed bucket scheme
-    (negatives under [le="-1"], exact values [0..63], the [>= 64]
-    overflow only in [+Inf]), plus [_sum] and [_count].  Deterministic:
+    [_bucket{le="…"}] lines, one per non-empty {!Hist} bucket at its
+    upper bound (negatives under [le="-1"]), then [+Inf], [_sum] and
+    [_count].  Deterministic:
     entries come out byte-lexicographically sorted by name. *)
 val render_prometheus : unit -> string
 
-(** [to_json ()] — {!snapshot} as one JSON object: counters as numbers,
+(** [to_value ()] — {!snapshot} as one JSON object: counters as numbers,
     distributions as [{"count","sum","min","max","buckets"}] objects,
     where ["buckets"] lists the non-empty histogram buckets as
-    [[representative, count]] pairs (the representative convention of
-    {!dist_stats}).  Metric names are escaped, so the output is valid
-    JSON whatever characters a name contains. *)
+    [[upper bound, count]] pairs (the convention of {!dist_stats}). *)
+val to_value : unit -> Json.value
+
+(** [to_json ()] = [Json.to_string (to_value ())]. *)
 val to_json : unit -> string

@@ -1,5 +1,5 @@
 (** Minimal JSON support shared by the observability exporters
-    ({!Span.export_json}, {!Counters.to_json}) and the bench-history
+    ({!Span.export_json}, {!Counters.to_value}) and the bench-history
     tooling: string escaping for the emitters, plus a strict value-level
     parser/serializer for the files we both write and read back
     ([BENCH_results.json], counter snapshots).

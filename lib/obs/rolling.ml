@@ -1,26 +1,3 @@
-(* Log-linear latency buckets: exact 0..15, then four sub-buckets per
-   power of two.  Index 16 + 4*(m-4) + sub covers [2^m + sub*2^(m-2),
-   2^m + (sub+1)*2^(m-2) - 1] for m >= 4, so the upper bound reported
-   by a quantile overshoots the true sample by at most a quarter. *)
-
-let n_hist = 248 (* max index for v <= max_int is 247 *)
-
-let log2i v =
-  let rec go m v = if v <= 1 then m else go (m + 1) (v lsr 1) in
-  go 0 v
-
-let hist_index v =
-  if v < 16 then max 0 v
-  else
-    let m = log2i v in
-    16 + (4 * (m - 4)) + ((v lsr (m - 2)) land 3)
-
-let bucket_upper i =
-  if i < 16 then i
-  else
-    let m = 4 + ((i - 16) / 4) and sub = (i - 16) mod 4 in
-    (1 lsl m) + ((sub + 1) lsl (m - 2)) - 1
-
 type bucket = {
   mutable epoch : int; (* -1: never used *)
   mutable count : int;
@@ -42,13 +19,13 @@ let create ?(buckets = 60) ?(width_ns = 1_000_000_000) () =
     width_ns;
     buckets =
       Array.init buckets (fun _ ->
-          { epoch = -1; count = 0; flagged = 0; hist = Array.make n_hist 0 });
+          { epoch = -1; count = 0; flagged = 0; hist = Array.make Hist.n_buckets 0 });
   }
 
 let clear_bucket b =
   b.count <- 0;
   b.flagged <- 0;
-  Array.fill b.hist 0 n_hist 0
+  Array.fill b.hist 0 Hist.n_buckets 0
 
 let observe t ~now_ns ~latency_ns ~flagged =
   let epoch = now_ns / t.width_ns in
@@ -66,7 +43,8 @@ let observe t ~now_ns ~latency_ns ~flagged =
         if b.epoch = epoch then begin
           b.count <- b.count + 1;
           if flagged then b.flagged <- b.flagged + 1;
-          b.hist.(hist_index latency_ns) <- b.hist.(hist_index latency_ns) + 1
+          let i = Hist.index (max 0 latency_ns) in
+          b.hist.(i) <- b.hist.(i) + 1
         end)
 
 type stats = {
@@ -80,25 +58,12 @@ type stats = {
   window_ns : int;
 }
 
-let percentile merged total p =
-  if total = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (p *. float_of_int total))) in
-    let acc = ref 0 and res = ref 0 and i = ref 0 in
-    while !acc < rank && !i < n_hist do
-      acc := !acc + merged.(!i);
-      if !acc >= rank then res := bucket_upper !i;
-      incr i
-    done;
-    !res
-  end
-
 let stats t ~now_ns =
   let n = Array.length t.buckets in
   let cur = now_ns / t.width_ns in
   let oldest = cur - n + 1 in
   Mutex.protect t.lock (fun () ->
-      let merged = Array.make n_hist 0 in
+      let merged = Array.make Hist.n_buckets 0 in
       let count = ref 0 and flagged = ref 0 and min_start = ref max_int in
       Array.iter
         (fun b ->
@@ -121,9 +86,9 @@ let stats t ~now_ns =
         flagged;
         rate;
         flagged_ratio = (if count = 0 then 0. else float_of_int flagged /. float_of_int count);
-        p50_ns = percentile merged count 0.50;
-        p99_ns = percentile merged count 0.99;
-        p999_ns = percentile merged count 0.999;
+        p50_ns = Hist.quantile merged 0.50;
+        p99_ns = Hist.quantile merged 0.99;
+        p999_ns = Hist.quantile merged 0.999;
         window_ns = n * t.width_ns;
       })
 

@@ -13,9 +13,10 @@
     test (inject a fake [now]) and the serving hot path pays for exactly
     one [gettimeofday] of its own choosing.
 
-    Latencies are bucketed log-linearly: exact below 16 ns, then four
-    sub-buckets per power of two, so a reported quantile overshoots the
-    true value by at most 25% (it is the covering bucket's upper bound).
+    Latencies are bucketed in the {!Hist} scheme: exact below 64 ns,
+    then four sub-buckets per power of two, so a reported quantile
+    overshoots the true value by at most 25% (it is the covering
+    bucket's upper bound).
 
     Every entry point takes the instance's lock; an observation is a
     few integer increments under it, cheap enough for a request path

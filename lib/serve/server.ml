@@ -411,7 +411,6 @@ let rolling_value (s : Rolling.stats) =
 
 let stats_value t =
   let num i = Json.Num (float_of_int i) in
-  let counters = match Json.parse (Counters.to_json ()) with Ok v -> v | Error _ -> Json.Null in
   let now = now_ns () in
   let stripe_entries = Cache.stripe_lengths t.cache in
   let depth = Mutex.protect t.qlock (fun () -> Queue.length t.queue) in
@@ -450,7 +449,7 @@ let stats_value t =
             ("threshold_ms", Json.Num (float_of_int (Reqlog.slow_threshold_ns ()) /. 1e6));
             ("entries", Json.Arr (List.map Reqlog.entry_value (Reqlog.slow ~limit:16 ())));
           ] );
-      ("counters", counters);
+      ("counters", Counters.to_value ());
     ]
 
 let metrics_exposition t =

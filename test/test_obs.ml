@@ -260,8 +260,8 @@ let test_dist_stats () =
   check Alcotest.int "max" 100 s.Counters.max_v;
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "buckets: negatives at -1, exacts, overflow at 64"
-    [ (-1, 1); (3, 2); (7, 1); (64, 1) ]
+    "buckets: negatives at -1, exacts, 100 under its bucket bound 111"
+    [ (-1, 1); (3, 2); (7, 1); (111, 1) ]
     s.Counters.buckets
 
 let test_registry_kind_conflict () =
@@ -326,7 +326,7 @@ let test_counters_json_has_buckets () =
   Alcotest.(check bool) "buckets key present" true (contains "\"buckets\"" json);
   Alcotest.(check bool) "exact bucket" true (contains "[3, 2]" json);
   Alcotest.(check bool) "negative bucket" true (contains "[-1, 1]" json);
-  Alcotest.(check bool) "overflow bucket" true (contains "[64, 1]" json)
+  Alcotest.(check bool) "bucket bound above 63" true (contains "[111, 1]" json)
 
 (* --- domain safety --- *)
 
@@ -402,18 +402,41 @@ let test_prometheus_exposition () =
   let out = Counters.render_prometheus () in
   Alcotest.(check bool) "counter block" true
     (contains ~needle:"# TYPE isched_test_prom_c counter\nisched_test_prom_c 7\n" out);
-  (* Cumulative buckets from the fixed scheme: negatives under le="-1",
-     exact values, the >= 64 overflow only in +Inf; sum = -5+0+3+70. *)
+  (* Cumulative buckets at their upper bounds: negatives under le="-1",
+     exact values below 64, 70 under its bucket's bound 79; sum =
+     -5+0+3+70. *)
   let expected_hist =
     "# TYPE isched_test_prom_d histogram\n\
      isched_test_prom_d_bucket{le=\"-1\"} 1\n\
      isched_test_prom_d_bucket{le=\"0\"} 2\n\
      isched_test_prom_d_bucket{le=\"3\"} 3\n\
+     isched_test_prom_d_bucket{le=\"79\"} 4\n\
      isched_test_prom_d_bucket{le=\"+Inf\"} 4\n\
      isched_test_prom_d_sum 68\n\
      isched_test_prom_d_count 4\n"
   in
-  Alcotest.(check bool) "histogram block" true (contains ~needle:expected_hist out)
+  Alcotest.(check bool) "histogram block" true (contains ~needle:expected_hist out);
+  (* Samples >= 64 only: their le lines are ascending in le, their
+     counts cumulative, and +Inf equals _count. *)
+  List.iter
+    (Counters.observe (Counters.dist "test.prom.big"))
+    [ 64; 70; 100; 1_000; 1 lsl 40; 1 lsl 40 ];
+  let out = Counters.render_prometheus () in
+  let series =
+    String.split_on_char '\n' out
+    |> List.filter_map (fun l ->
+           Scanf.sscanf_opt l "isched_test_prom_big_bucket{le=%S} %d" (fun le c -> (le, c)))
+  in
+  let finite = List.filter (fun (le, _) -> le <> "+Inf") series in
+  let les = List.map (fun (le, _) -> int_of_string le) finite in
+  let counts = List.map snd series in
+  Alcotest.(check (list int))
+    "le lines at the bucket bounds" [ 79; 111; 1023; 1_374_389_534_719 ] les;
+  Alcotest.(check (list int)) "cumulative counts" [ 2; 3; 4; 6; 6 ] counts;
+  Alcotest.(check bool) "le ascending" true (List.sort compare les = les);
+  Alcotest.(check bool) "counts non-decreasing" true (List.sort compare counts = counts);
+  Alcotest.(check bool) "+Inf equals _count" true
+    (List.assoc_opt "+Inf" series = Some 6 && contains ~needle:"isched_test_prom_big_count 6\n" out)
 
 (* The satellite fix: renders must be deterministic whatever order the
    8-way shard merge (and concurrent registration) produced — pinned by
@@ -441,6 +464,64 @@ let test_render_deterministic_after_hammer () =
   let names = List.map fst (Counters.snapshot ()) in
   Alcotest.(check bool) "snapshot byte-lexicographically sorted" true
     (List.sort String.compare names = names)
+
+(* --- Hist: the shared bucket scheme --- *)
+
+module Hist = Isched_obs.Hist
+
+let qtest ?(count = 500) name gen law =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
+
+(* Samples over every magnitude: small signed values, the exact/log
+   boundary, values around powers of two, and the full int range. *)
+let gen_sample =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range (-100) 200;
+        map2 (fun k d -> (1 lsl k) + d) (int_range 0 61) (int_range (-2) 2);
+        int;
+        oneofl [ max_int; min_int; 63; 64 ];
+      ])
+
+let within_bound v u = u >= v && float_of_int u <= (1.25 *. float_of_int v) +. 1.
+
+let test_hist_bucket_law =
+  qtest "hist: bucket bounds cover v within 25%, monotone, exact below 64"
+    QCheck2.Gen.(pair gen_sample gen_sample)
+    (fun (a, b) ->
+      let law v =
+        let i = Hist.index v in
+        i >= 0 && i < Hist.n_buckets
+        && if v < 0 then i = 0 else within_bound v (Hist.upper i) && (v >= 64 || Hist.upper i = v)
+      in
+      law a && law b && (a > b || Hist.index a <= Hist.index b))
+
+let test_hist_edges () =
+  check Alcotest.int "max_int in the last bucket" (Hist.n_buckets - 1) (Hist.index max_int);
+  check Alcotest.int "last bound is max_int" max_int (Hist.upper (Hist.n_buckets - 1));
+  check Alcotest.int "min_int in the sign bucket" 0 (Hist.index min_int);
+  for i = 0 to Hist.n_buckets - 1 do
+    if Hist.index (Hist.upper i) <> i then Alcotest.failf "bound of bucket %d is not in it" i
+  done;
+  check Alcotest.int "empty quantile" 0 (Hist.quantile (Array.make Hist.n_buckets 0) 0.5)
+
+(* The reference: the nearest-rank order statistic of a sorted array. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  sorted.(max 1 (int_of_float (ceil (p *. float_of_int n))) - 1)
+
+let test_hist_quantile_law =
+  qtest "hist: quantile within 25% of the nearest-rank reference"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 300) (oneof [ int_range 0 200; int_range 0 1_000_000_000 ]))
+        (oneof [ oneofl [ 0.5; 0.99; 0.999; 1. ]; float_range 0.001 1. ]))
+    (fun (samples, p) ->
+      let counts = Array.make Hist.n_buckets 0 in
+      List.iter (fun v -> counts.(Hist.index v) <- counts.(Hist.index v) + 1) samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      within_bound (nearest_rank sorted p) (Hist.quantile counts p))
 
 (* --- Rolling: sliding-window histograms --- *)
 
@@ -502,7 +583,7 @@ let test_rolling_quantiles_and_rate () =
   within "p50" 50 s.Rolling.p50_ns;
   within "p99" 99 s.Rolling.p99_ns;
   within "p999" 100 s.Rolling.p999_ns;
-  (* Exact region: latencies below 16 ns have one bucket per value. *)
+  (* Exact region: latencies below 64 ns have one bucket per value. *)
   let r2 = Rolling.create () in
   for v = 1 to 10 do
     Rolling.observe r2 ~now_ns:now ~latency_ns:v ~flagged:false
@@ -659,4 +740,7 @@ let suite =
     Alcotest.test_case "reqlog: disabled counters make record inert" `Quick
       test_reqlog_disabled_is_inert;
     Alcotest.test_case "reqlog: entry JSON schema" `Quick test_reqlog_entry_json;
+    test_hist_bucket_law;
+    Alcotest.test_case "hist: bucket edges" `Quick test_hist_edges;
+    test_hist_quantile_law;
   ]
