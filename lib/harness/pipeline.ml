@@ -61,7 +61,7 @@ end
 
 (* Racing workers that miss on one key compute it once; the bound keeps
    a long-lived daemon, whose explain requests reach [prepare], from
-   retaining every loop it saw.  The largest bench run has 231 keys. *)
+   retaining every loop it saw.  The largest table run has 231 keys. *)
 let memo =
   Isched_util.Cache.create ~name:"pipeline.memo" ~capacity:1024 ~hash:Key.hash ~equal:Key.equal ()
 

@@ -12,23 +12,6 @@ module Ast = Isched_frontend.Ast
 
 (* --- Table 1 --- *)
 
-let corpus_stats ?(options = Pipeline.default_options) (b : Suite.benchmark) =
-  let loops = b.Suite.loops in
-  let prepared = List.map (fun l -> (l, Pipeline.prepare ~options l)) loops in
-  let source_lines = List.fold_left (fun acc l -> acc + Ast.source_lines l) 0 loops in
-  let n_doall =
-    List.length (List.filter (fun (_, p) -> match p with Pipeline.Doall _ -> true | _ -> false) prepared)
-  in
-  let progs =
-    List.filter_map
-      (fun (_, p) -> match p with Pipeline.Doacross { prog; _ } -> Some prog | _ -> None)
-      prepared
-  in
-  let dlx = List.fold_left (fun acc p -> acc + Array.length p.Program.body) 0 progs in
-  let lfd = List.fold_left (fun acc p -> acc + Program.n_lfd p) 0 progs in
-  let lbd = List.fold_left (fun acc p -> acc + Program.n_lbd p) 0 progs in
-  (source_lines, List.length loops, n_doall, dlx, lfd, lbd)
-
 let table1_of_rows rows =
   let t =
     Table.create ~title:"Table 1 - Characteristics of the Perfect-surrogate corpora"
@@ -53,44 +36,9 @@ let table1_of_rows rows =
   Table.add_row t ("TOTAL" :: Array.to_list (Array.map Table.fmt_int totals));
   t
 
-let table1 ?options benches =
-  table1_of_rows
-    (List.map
-       (fun (b : Suite.benchmark) ->
-         let l, nl, nd, dlx, lfd, lbd = corpus_stats ?options b in
-         (b.Suite.profile.Isched_perfect.Profile.name, [ l; nl; nd; dlx; lfd; lbd ]))
-       benches)
-
 (* --- Tables 2 and 3 --- *)
 
 type measurement = { benchmark : string; config : string; t_list : int; t_new : int }
-
-let measure ?(options = Pipeline.default_options) ?jobs benches configs =
-  let cells =
-    List.concat_map (fun (b : Suite.benchmark) -> List.map (fun c -> (b, c)) configs) benches
-  in
-  let cell ((b : Suite.benchmark), (cname, m)) =
-    (* [prepare] is memoized, so every cell of the same benchmark shares
-       one front-half run regardless of which worker gets there first. *)
-    let prepared =
-      List.filter_map
-        (fun l ->
-          match Pipeline.prepare ~options l with
-          | Pipeline.Doall _ -> None
-          | Pipeline.Doacross _ as p -> Some p)
-        b.Suite.loops
-    in
-    let total which =
-      List.fold_left (fun acc p -> acc + Pipeline.loop_time ~options p m which) 0 prepared
-    in
-    {
-      benchmark = b.Suite.profile.Isched_perfect.Profile.name;
-      config = cname;
-      t_list = total Pipeline.List_scheduling;
-      t_new = total Pipeline.New_scheduling;
-    }
-  in
-  Pool.map ?jobs cell cells
 
 let benchmarks_of ms = List.sort_uniq compare (List.map (fun m -> m.benchmark) ms)
 let configs_of ms =
@@ -191,29 +139,6 @@ let categories_of_rows rows =
   let t = Table.create ~title:"DOACROSS loop categories (Chen & Yew's six types)" ~columns in
   List.iter (fun (name, cells) -> Table.add_row t (name :: List.map Table.fmt_int cells)) rows;
   t
-
-let categories benches =
-  let module Doall = Isched_transform.Doall in
-  let cats = Doall.all_categories in
-  categories_of_rows
-    (List.map
-       (fun (b : Suite.benchmark) ->
-         let counts = Hashtbl.create 8 in
-         let doall = ref 0 in
-         List.iter
-           (fun l ->
-             let l' = (Isched_transform.Restructure.run l).Isched_transform.Restructure.loop in
-             if Isched_deps.Dep.is_doall l' then incr doall
-             else begin
-               let c = Doall.categorize l in
-               Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
-             end)
-           b.Suite.loops;
-         let cells =
-           List.map (fun c -> Option.value ~default:0 (Hashtbl.find_opt counts c)) cats @ [ !doall ]
-         in
-         (b.Suite.profile.Isched_perfect.Profile.name, cells))
-       benches)
 
 (* --- streamed, scaled tables --- *)
 
@@ -482,8 +407,8 @@ let ablation_order _benches =
    the 2/4-issue x #FU 1/2 grid; "sync" counts Send/Wait instructions in
    the generated programs and T is the new scheduler's simulated
    parallel time.  The scale-1 corpus rows typically show no redundancy
-   (the deltas live in the scaled corpus — see the BENCH records'
-   sync_ops field); the kernels row proves the axis end to end. *)
+   (the deltas live in the scaled corpus — see the Send/Wait line
+   of [ischedc tables --scale N]); the kernels row proves the axis end to end. *)
 let ablation_sync_elim benches =
   let kernels =
     List.map
@@ -586,13 +511,13 @@ let ablation_migration benches =
       ]
     benches
 
-let sweep benches =
+let sweep profiles =
   let configs =
     List.concat_map
       (fun issue -> List.map (fun nfu -> (Printf.sprintf "%d-issue/#FU=%d" issue nfu, Machine.make ~issue ~nfu ())) [ 1; 2; 4 ])
       [ 1; 2; 4; 8 ]
   in
-  let ms = measure benches configs in
+  let _, ms, _, _ = scaled_tables ~scale:1 profiles configs in
   let t =
     Table.create ~title:"Sweep A4 - improvement over issue widths 1-8 and 1-4 function units"
       ~columns:

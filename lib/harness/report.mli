@@ -1,19 +1,12 @@
 (** Builders for every table of the paper's evaluation, the ablations
-    and the sweeps.  All output goes through {!Isched_util.Table} so the
-    benchmark executable prints a uniform report. *)
+    and the sweeps.  All output goes through {!Isched_util.Table} so
+    [ischedc tables] and [ischedc ablations] print a uniform report. *)
 
 module Table := Isched_util.Table
 module Machine := Isched_ir.Machine
 module Suite := Isched_perfect.Suite
 
-(** {2 Table 1 — benchmark characteristics} *)
-
-(** [options] (here and below) defaults to
-    {!Pipeline.default_options}; pass [{ default_options with
-    sync_elim = true }] to report on the elimination-pass output. *)
-val table1 : ?options:Pipeline.options -> Suite.benchmark list -> Table.t
-
-(** {2 Table 2 / Table 3 — parallel execution times and improvement} *)
+(** {2 Tables 1-3 and the categories} *)
 
 type measurement = {
   benchmark : string;
@@ -21,18 +14,6 @@ type measurement = {
   t_list : int;  (** T_a: total time over the corpus, list scheduling *)
   t_new : int;  (** T_b: total time, new scheduling *)
 }
-
-(** [measure ?options ?jobs benches configs] — the full experiment:
-    every DOACROSS loop of every corpus, scheduled both ways on every
-    machine configuration and timed by the simulator.  The
-    (benchmark x configuration) cells are independent and fan across
-    {!Isched_util.Pool} ([jobs] defaults to
-    {!Isched_util.Pool.default_jobs}); results come back in the same
-    order as a sequential run, so the tables do not depend on the job
-    count. *)
-val measure :
-  ?options:Pipeline.options -> ?jobs:int -> Suite.benchmark list ->
-  (string * Machine.t) list -> measurement list
 
 val table2 : measurement list -> Table.t
 val table3 : measurement list -> Table.t
@@ -45,15 +26,13 @@ val improvement : t_list:int -> t_new:int -> float
     percentages (the paper quotes 83.37% and 85.1%). *)
 val overall : measurement list -> float * float
 
-(** {2 DOACROSS categories (Section 4.1's six types)} *)
-
-val categories : Suite.benchmark list -> Table.t
-
-(** {2 Streamed, scaled tables ([bench --scale N])} *)
-
 (** [scaled_tables ?options ?jobs ?chunk_size ~scale profiles configs]
-    — Tables 1, 2/3 measurements and the category table for a [scale]×
-    generated corpus, computed without ever materializing it: the loop
+    — Table 1, the Table 2/3 measurements and the category table (Chen
+    & Yew's six DOACROSS types, Section 4.1) for a [scale]× generated
+    corpus; [scale = 1] is the corpus itself ({!Suite.all}).  [options]
+    defaults to {!Pipeline.default_options}; pass [{ default_options
+    with sync_elim = true }] to report on the elimination-pass output.
+    The corpus is never materialized: the loop
     stream of every profile is cut into independent chunks
     ({!Isched_perfect.Suite.chunks}, [chunk_size] generated loops each),
     one (profile x chunk) cell per pool task, and each cell reduces its
@@ -88,8 +67,9 @@ val ablation_sync_elim : Suite.benchmark list -> Table.t
 (** A3: statement migration stacked on both schedulers. *)
 val ablation_migration : Suite.benchmark list -> Table.t
 
-(** A4: machine sweep beyond the paper's four configurations. *)
-val sweep : Suite.benchmark list -> Table.t
+(** A4: machine sweep beyond the paper's four configurations, over the
+    scale-1 corpus of [profiles] (measured by {!scaled_tables}). *)
+val sweep : Isched_perfect.Profile.t list -> Table.t
 
 (** A5: three-way comparison against the marker-guided scheduler
     ({!Isched_core.Marker_sched}, the author's ISPAN'94 technique). *)

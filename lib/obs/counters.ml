@@ -6,7 +6,7 @@
    pool each worker keeps hitting the same (locally cached) cell; the
    fetch-and-add stays, making a rare id collision between two live
    domains safe.  Readers sum the shards, so [value]/[snapshot]/
-   [to_json] are observably identical to the unsharded registry. *)
+   [to_value] are observably identical to the unsharded registry. *)
 
 let n_shards = 8 (* power of two; comfortably >= the pool widths used *)
 let shard_index () = (Domain.self () :> int) land (n_shards - 1)
@@ -251,5 +251,3 @@ let to_value () =
                    Json.Arr (List.map (fun (u, c) -> Json.Arr [ num u; num c ]) s.buckets) );
                ] ))
        (snapshot ()))
-
-let to_json () = Json.to_string (to_value ())

@@ -90,6 +90,3 @@ val render_prometheus : unit -> string
     where ["buckets"] lists the non-empty histogram buckets as
     [[upper bound, count]] pairs (the convention of {!dist_stats}). *)
 val to_value : unit -> Json.value
-
-(** [to_json ()] = [Json.to_string (to_value ())]. *)
-val to_json : unit -> string

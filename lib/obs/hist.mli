@@ -1,5 +1,5 @@
 (** The one histogram bucket scheme, shared by {!Counters}
-    distributions, {!Rolling} windows and the bench load generator.
+    distributions, {!Rolling} windows and the load generator ([ischedc load]).
 
     A histogram is an [int array] of {!n_buckets} counts.  Bucket 0
     holds every negative sample; buckets 1..64 hold the exact values

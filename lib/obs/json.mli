@@ -1,8 +1,8 @@
 (** Minimal JSON support shared by the observability exporters
-    ({!Span.export_json}, {!Counters.to_value}) and the bench-history
-    tooling: string escaping for the emitters, plus a strict value-level
-    parser/serializer for the files we both write and read back
-    ([BENCH_results.json], counter snapshots).
+    ({!Span.export_json}, {!Counters.to_value}), the serve protocol and
+    [ischedc load]/[top]: string escaping for the emitters, plus a strict
+    value-level parser/serializer for the documents we both write and
+    read back (protocol frames, counter snapshots).
 
     This is intentionally not a general-purpose JSON library — no
     streaming, no number fidelity beyond [float] — but the parser is

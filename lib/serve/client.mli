@@ -1,6 +1,6 @@
 (** A blocking client for the scheduling service: one Unix-domain
-    connection, one in-flight request at a time.  The bench load
-    generator opens one of these per concurrency domain; the CLI and
+    connection, one in-flight request at a time.  The load
+    generator ([ischedc load]) opens one of these per concurrency domain; the CLI and
     the tests use it for single-shot requests. *)
 
 type t

@@ -1,8 +1,9 @@
-(** Plain-text table rendering for the benchmark harness.
+(** Plain-text table rendering for the evaluation's tables.
 
     Every table the harness reproduces (Tables 1-3 of the paper, the
     ablations, the sweeps) is built as a {!t} and rendered with
-    {!render}, so the output format of [bench/main.exe] is uniform. *)
+    {!render}, so the output format of [ischedc tables] and
+    [ischedc ablations] is uniform. *)
 
 type align = Left | Right
 

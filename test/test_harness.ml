@@ -16,10 +16,16 @@ let contains s affix =
   m = 0 || go 0
 
 (* small corpora for fast table tests *)
-let small_benches () =
-  List.map
-    (fun p -> Suite.load { p with Isched_perfect.Profile.n_generated = 3 })
-    Isched_perfect.Profile.all
+let small_profiles () =
+  List.map (fun p -> { p with Isched_perfect.Profile.n_generated = 3 }) Isched_perfect.Profile.all
+
+let small_benches () = List.map Suite.load (small_profiles ())
+
+(* The tables of a scale-1 run over [profiles]: Table 1, the Table 2/3
+   measurements and the categories. *)
+let tables ?jobs profiles configs =
+  let t1, ms, cats, _ = Report.scaled_tables ?jobs ~scale:1 profiles configs in
+  (t1, ms, cats)
 
 let test_pipeline_prepare () =
   let l = Isched_frontend.Parser.parse_loop "DOACROSS I = 1, 10\n A[I] = A[I-1]\nENDDO" in
@@ -49,15 +55,14 @@ let test_pipeline_loop_time_positive () =
   Alcotest.(check bool) "positive" true (t > 0)
 
 let test_table1_shape () =
-  let t = Report.table1 (small_benches ()) in
+  let t, _, _ = tables (small_profiles ()) [] in
   let s = Table.render t in
   List.iter
     (fun name -> Alcotest.(check bool) (name ^ " row present") true (contains s name))
     [ "FLQ52"; "QCD"; "MDG"; "TRACK"; "ADM"; "TOTAL" ]
 
 let test_measure_and_tables () =
-  let benches = small_benches () in
-  let ms = Report.measure benches Machine.paper_configs in
+  let _, ms, _ = tables (small_profiles ()) Machine.paper_configs in
   check Alcotest.int "5 benchmarks x 4 configs" 20 (List.length ms);
   List.iter
     (fun (m : Report.measurement) ->
@@ -77,13 +82,15 @@ let test_improvement_metric () =
 let test_overall_shape () =
   (* The headline numbers on the full corpora: both overall improvements
      above 70%, like the paper's 83.4% / 85.1%. *)
-  let ms = Report.measure (Suite.all ()) Machine.paper_configs in
+  let _, ms, _ = tables (Suite.profiles ()) Machine.paper_configs in
   let two, four = Report.overall ms in
   Alcotest.(check bool) "2-issue overall > 70%" true (two > 70.);
   Alcotest.(check bool) "4-issue overall > 70%" true (four > 70.)
 
 let test_qcd_improves_least () =
-  let ms = Report.measure (Suite.all ()) [ ("4-issue(#FU=1)", Machine.make ~issue:4 ~nfu:1 ()) ] in
+  let _, ms, _ =
+    tables (Suite.profiles ()) [ ("4-issue(#FU=1)", Machine.make ~issue:4 ~nfu:1 ()) ]
+  in
   let impr name =
     let m = List.find (fun (m : Report.measurement) -> m.Report.benchmark = name) ms in
     Report.improvement ~t_list:m.Report.t_list ~t_new:m.Report.t_new
@@ -94,7 +101,8 @@ let test_qcd_improves_least () =
     [ "FLQ52"; "MDG"; "TRACK"; "ADM" ]
 
 let test_categories_table () =
-  let s = Table.render (Report.categories (small_benches ())) in
+  let _, _, cats = tables (small_profiles ()) [] in
+  let s = Table.render cats in
   Alcotest.(check bool) "has the six type names" true
     (contains s "induction variable" && contains s "reduction operation" && contains s "others")
 
@@ -136,9 +144,8 @@ let test_measure_pool_matches_sequential () =
   (* The --jobs acceptance property: fanning the (benchmark x config)
      cells over domains must reproduce the sequential measurement list
      exactly, element for element. *)
-  let benches = small_benches () in
-  let seq = Report.measure ~jobs:1 benches Machine.paper_configs in
-  let par = Report.measure ~jobs:4 benches Machine.paper_configs in
+  let _, seq, _ = tables ~jobs:1 (small_profiles ()) Machine.paper_configs in
+  let _, par, _ = tables ~jobs:4 (small_profiles ()) Machine.paper_configs in
   check Alcotest.int "same length" (List.length seq) (List.length par);
   Alcotest.(check bool) "identical measurements in order" true (seq = par)
 

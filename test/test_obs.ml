@@ -302,7 +302,7 @@ let test_counters_json_valid () =
   let c = Counters.counter "test.json" in
   Counters.add c 3;
   Counters.observe (Counters.dist "test.json.d") 5;
-  let json = Counters.to_json () in
+  let json = Isched_obs.Json.to_string (Counters.to_value ()) in
   try Json.parse json with Failure m -> Alcotest.failf "to_json not valid JSON: %s" m
 
 let test_counters_json_escapes_names () =
@@ -311,7 +311,7 @@ let test_counters_json_escapes_names () =
   fresh ();
   Counters.add (Counters.counter {|test.tricky "quoted"\name|}) 1;
   Counters.observe (Counters.dist "test.tricky\tdist\n") 2;
-  let json = Counters.to_json () in
+  let json = Isched_obs.Json.to_string (Counters.to_value ()) in
   (try Json.parse json with Failure m -> Alcotest.failf "escaped names broke JSON: %s" m);
   Alcotest.(check bool) "quote escaped" true (contains {|\"quoted\"|} json)
 
@@ -321,7 +321,7 @@ let test_counters_json_has_buckets () =
   fresh ();
   let d = Counters.dist "test.bucketed" in
   List.iter (Counters.observe d) [ 3; 3; -2; 100 ];
-  let json = Counters.to_json () in
+  let json = Isched_obs.Json.to_string (Counters.to_value ()) in
   (try Json.parse json with Failure m -> Alcotest.failf "not valid JSON: %s" m);
   Alcotest.(check bool) "buckets key present" true (contains "\"buckets\"" json);
   Alcotest.(check bool) "exact bucket" true (contains "[3, 2]" json);

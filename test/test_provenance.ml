@@ -1,12 +1,11 @@
 (* Tests for the decision-provenance layer: the ring buffer, the JSON
-   value parser it exports with, the traced pipeline + explainer joins,
-   and the bench-history perf-regression gate. *)
+   value parser it exports with, and the traced pipeline + explainer
+   joins. *)
 
 module Provenance = Isched_obs.Provenance
 module Json = Isched_obs.Json
 module Pipeline = Isched_harness.Pipeline
 module Explain = Isched_harness.Explain
-module Bench_gate = Isched_harness.Bench_gate
 module Lbd_model = Isched_core.Lbd_model
 module Schedule = Isched_core.Schedule
 
@@ -198,148 +197,6 @@ let test_gantt_svg_has_provenance () =
   check Alcotest.bool "has tooltips" true (contains ~affix:"<title>" svg);
   check Alcotest.bool "has sync arcs" true (contains ~affix:"arr-sig" svg)
 
-(* --- the perf-regression gate --- *)
-
-let history_doc runs =
-  let run (wall, t_new) =
-    Printf.sprintf
-      "{ \"git_rev\": \"r\", \"unix_time\": 1, \"jobs\": 2, \"smoke\": true, \
-       \"wall_clock_seconds\": %.3f, \"stage_seconds\": { \"tables\": %.3f }, \
-       \"table_totals\": { \"cfg\": { \"t_list\": 100, \"t_new\": %d } } }"
-      wall wall t_new
-  in
-  Printf.sprintf "{ \"runs\": [ %s ] }" (String.concat ", " (List.map run runs))
-
-let compare_doc doc =
-  match Bench_gate.parse_history doc with
-  | Error e -> Alcotest.fail ("parse_history: " ^ e)
-  | Ok runs -> (
-    match Bench_gate.compare_latest runs with
-    | Error e -> Alcotest.fail ("compare_latest: " ^ e)
-    | Ok c -> c)
-
-let test_gate_flags_2x_slowdown () =
-  let c = compare_doc (history_doc [ (1.0, 50); (1.0, 50); (2.0, 50) ]) in
-  check Alcotest.bool "flagged" false (Bench_gate.ok c);
-  check Alcotest.bool "names wall clock" true
-    (List.exists
-       (fun (r : Bench_gate.regression) -> r.Bench_gate.metric = "wall_clock_seconds")
-       c.Bench_gate.regressions);
-  check Alcotest.bool "report says REGRESSION" true
-    (contains ~affix:"REGRESSION" (Bench_gate.render_comparison c))
-
-let test_gate_accepts_noise () =
-  let c = compare_doc (history_doc [ (1.0, 50); (1.0, 50); (1.04, 51) ]) in
-  check Alcotest.bool "under 5%% noise passes" true (Bench_gate.ok c)
-
-let test_gate_flags_table_regression () =
-  let c = compare_doc (history_doc [ (1.0, 50); (1.0, 50); (1.0, 80) ]) in
-  check Alcotest.bool "flagged" false (Bench_gate.ok c);
-  check Alcotest.bool "names the config metric" true
-    (List.exists
-       (fun (r : Bench_gate.regression) -> r.Bench_gate.metric = "table_totals.cfg.t_new")
-       c.Bench_gate.regressions)
-
-let test_gate_no_baseline_ok () =
-  (* A 2x-slower run at a *different* jobs setting is not a baseline. *)
-  let doc =
-    "{ \"runs\": [ { \"jobs\": 8, \"smoke\": true, \"wall_clock_seconds\": 0.5 }, { \"jobs\": \
-     2, \"smoke\": true, \"wall_clock_seconds\": 2.0 } ] }"
-  in
-  let c = compare_doc doc in
-  check Alcotest.int "no matching baseline" 0 c.Bench_gate.baseline_runs;
-  check Alcotest.bool "first run passes" true (Bench_gate.ok c)
-
-let history_doc_stage runs =
-  (* Like [history_doc] but wall and the tables stage vary independently,
-     so the per-stage gate can be exercised with the wall clock held flat. *)
-  let run (wall, stage) =
-    Printf.sprintf
-      "{ \"git_rev\": \"r\", \"unix_time\": 1, \"jobs\": 2, \"smoke\": true, \
-       \"wall_clock_seconds\": %.3f, \"stage_seconds\": { \"tables\": %.3f }, \
-       \"table_totals\": { \"cfg\": { \"t_list\": 100, \"t_new\": 50 } } }"
-      wall stage
-  in
-  Printf.sprintf "{ \"runs\": [ %s ] }" (String.concat ", " (List.map run runs))
-
-let test_gate_flags_stage_only_regression () =
-  (* The tables stage quadruples but the wall clock (dominated by other
-     stages) does not move: the per-stage gate must still flag it. *)
-  let c = compare_doc (history_doc_stage [ (5.0, 0.5); (5.0, 0.5); (5.0, 2.0) ]) in
-  check Alcotest.bool "flagged" false (Bench_gate.ok c);
-  check Alcotest.bool "names the stage metric" true
-    (List.exists
-       (fun (r : Bench_gate.regression) -> r.Bench_gate.metric = "stage_seconds.tables")
-       c.Bench_gate.regressions);
-  check Alcotest.bool "wall clock itself not flagged" false
-    (List.exists
-       (fun (r : Bench_gate.regression) -> r.Bench_gate.metric = "wall_clock_seconds")
-       c.Bench_gate.regressions)
-
-let test_gate_stage_floor_absorbs_timer_noise () =
-  (* A 10 ms stage tripling is a huge ratio but under the 50 ms absolute
-     floor — timer noise, not a regression. *)
-  let c = compare_doc (history_doc_stage [ (5.0, 0.010); (5.0, 0.010); (5.0, 0.030) ]) in
-  check Alcotest.bool "passes" true (Bench_gate.ok c)
-
-let test_gate_stages_partition_baselines () =
-  (* A stage-filtered run must not be judged against full-run baselines:
-     running fewer stages is always "faster" and would poison the mean. *)
-  let doc =
-    "{ \"runs\": [ { \"jobs\": 2, \"smoke\": true, \"stages\": \"all\", \
-     \"wall_clock_seconds\": 1.0 }, { \"jobs\": 2, \"smoke\": true, \"stages\": \
-     \"tables,ablations\", \"wall_clock_seconds\": 5.0 } ] }"
-  in
-  let c = compare_doc doc in
-  check Alcotest.int "stage-filtered run has no full-run baseline" 0 c.Bench_gate.baseline_runs;
-  check Alcotest.bool "passes" true (Bench_gate.ok c)
-
-let test_gate_scale_partitions_baselines () =
-  (* A --scale 100 run must not be judged against scale-1 baselines (or
-     vice versa): the corpus is 100x the work, so cross-scale wall
-     clocks are incomparable in both directions. *)
-  let doc =
-    "{ \"runs\": [ { \"jobs\": 2, \"smoke\": true, \"scale\": 1, \"wall_clock_seconds\": 1.0 }, \
-     { \"jobs\": 2, \"smoke\": true, \"scale\": 100, \"wall_clock_seconds\": 90.0 } ] }"
-  in
-  let c = compare_doc doc in
-  check Alcotest.int "scaled run has no scale-1 baseline" 0 c.Bench_gate.baseline_runs;
-  check Alcotest.bool "passes" true (Bench_gate.ok c);
-  (* Same scale does partition together — and still catches regressions. *)
-  let doc_same =
-    "{ \"runs\": [ { \"jobs\": 2, \"smoke\": true, \"scale\": 100, \"wall_clock_seconds\": 10.0 }, \
-     { \"jobs\": 2, \"smoke\": true, \"scale\": 100, \"wall_clock_seconds\": 90.0 } ] }"
-  in
-  let c = compare_doc doc_same in
-  check Alcotest.int "same-scale baseline found" 1 c.Bench_gate.baseline_runs;
-  check Alcotest.bool "same-scale slowdown flagged" false (Bench_gate.ok c);
-  (* Records written before --scale existed mean scale 1. *)
-  let doc_legacy =
-    "{ \"runs\": [ { \"jobs\": 2, \"smoke\": true, \"wall_clock_seconds\": 1.0 }, \
-     { \"jobs\": 2, \"smoke\": true, \"scale\": 1, \"wall_clock_seconds\": 1.01 } ] }"
-  in
-  let c = compare_doc doc_legacy in
-  check Alcotest.int "legacy record is a scale-1 baseline" 1 c.Bench_gate.baseline_runs;
-  check Alcotest.bool "legacy comparison passes" true (Bench_gate.ok c)
-
-let test_rotate_history () =
-  let doc = history_doc (List.init 10 (fun i -> (1.0, i))) in
-  (match Bench_gate.rotate_history ~keep:3 doc with
-  | None -> Alcotest.fail "rotation expected"
-  | Some doc' -> (
-    match Bench_gate.parse_history doc' with
-    | Error e -> Alcotest.fail ("rotated unparseable: " ^ e)
-    | Ok runs ->
-      check Alcotest.int "keeps 3" 3 (List.length runs);
-      (* Newest survive: the synthetic t_new values are 7, 8, 9. *)
-      check Alcotest.(list int) "newest kept" [ 7; 8; 9 ]
-        (List.map
-           (fun (r : Bench_gate.run) -> snd (List.assoc "cfg" r.Bench_gate.table_totals))
-           runs)));
-  check Alcotest.bool "under bound untouched" true
-    (Bench_gate.rotate_history ~keep:200 doc = None);
-  check Alcotest.bool "garbage untouched" true (Bench_gate.rotate_history ~keep:1 "not json" = None)
-
 let suite =
   [
     Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
@@ -351,17 +208,4 @@ let suite =
     Alcotest.test_case "schedule_traced is inert" `Quick test_schedule_traced;
     Alcotest.test_case "explain fig1 pairs backed by decisions" `Quick test_explain_fig1;
     Alcotest.test_case "gantt svg carries provenance" `Quick test_gantt_svg_has_provenance;
-    Alcotest.test_case "gate flags 2x slowdown" `Quick test_gate_flags_2x_slowdown;
-    Alcotest.test_case "gate accepts <5% noise" `Quick test_gate_accepts_noise;
-    Alcotest.test_case "gate flags table_totals regression" `Quick test_gate_flags_table_regression;
-    Alcotest.test_case "gate passes without baseline" `Quick test_gate_no_baseline_ok;
-    Alcotest.test_case "gate flags stage-only regression" `Quick
-      test_gate_flags_stage_only_regression;
-    Alcotest.test_case "gate stage floor absorbs timer noise" `Quick
-      test_gate_stage_floor_absorbs_timer_noise;
-    Alcotest.test_case "gate partitions baselines by stages label" `Quick
-      test_gate_stages_partition_baselines;
-    Alcotest.test_case "gate partitions baselines by corpus scale" `Quick
-      test_gate_scale_partitions_baselines;
-    Alcotest.test_case "history rotation keeps newest" `Quick test_rotate_history;
   ]
