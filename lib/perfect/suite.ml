@@ -119,14 +119,12 @@ let all () = List.map (fun p -> load p) Profile.all
 
 (* --- corpus enumeration --- *)
 
-let profiles ?(smoke = false) () = if smoke then [ List.hd Profile.all ] else Profile.all
+let profiles () = Profile.all
 
-let corpora ?smoke () = List.map (fun p -> load p) (profiles ?smoke ())
-
-let all_loops ?smoke () = List.concat_map (fun b -> b.loops) (corpora ?smoke ())
+let all_loops () = List.concat_map (fun b -> b.loops) (all ())
 
 (* Name index for [find_loop]: built once under a lock on first use.
-   The full unscaled corpus is small (the bench harness materializes it
+   The full unscaled corpus is small (the ablations materialize it
    wholesale anyway), so retaining it here is cheap, and the serving
    path needs lookups to cost a hash probe, not a corpus walk. *)
 let index_lock = Mutex.create ()

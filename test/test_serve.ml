@@ -340,13 +340,7 @@ let test_suite_enumeration_pinned () =
     "all_loops enumerates exactly what Suite.all does"
     (names manual)
     (names (Suite.all_loops ()));
-  let smoke_manual = (List.hd (Suite.all ())).Suite.loops in
-  Alcotest.(check (list string))
-    "smoke enumeration is the first corpus"
-    (names smoke_manual)
-    (names (Suite.all_loops ~smoke:true ()));
-  Alcotest.(check int) "five corpora" 5 (List.length (Suite.corpora ()));
-  Alcotest.(check int) "one smoke corpus" 1 (List.length (Suite.corpora ~smoke:true ()));
+  Alcotest.(check int) "five corpora" 5 (List.length (Suite.profiles ()));
   (* Every enumerated loop is find-able by name and resolves to the
      same structural loop (names are unique across corpora). *)
   List.iter
@@ -384,7 +378,7 @@ let a_doacross_loop =
     (List.find
        (fun (l : Ast.loop) ->
          match fresh_answer l with Doall -> false | Sched _ -> true)
-       (Suite.all_loops ~smoke:true ()))
+       (List.hd (Suite.all ())).Suite.loops)
       .Ast.name
 
 let check_reply_matches name (fresh : fresh) (r : Protocol.loop_reply) =
@@ -753,7 +747,8 @@ let test_socket_mini_soak () =
         { c with Server.cache_capacity = 8; cache_stripes = 4; workers = 2 })
   in
   let names =
-    Array.of_list (List.map (fun (l : Ast.loop) -> l.Ast.name) (Suite.all_loops ~smoke:true ()))
+    Array.of_list
+      (List.map (fun (l : Ast.loop) -> l.Ast.name) (List.hd (Suite.all ())).Suite.loops)
   in
   let clients = 4 and per_client = 100 in
   let domains =
