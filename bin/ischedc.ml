@@ -262,8 +262,7 @@ let sim_cmd =
         let g = Isched_dfg.Dfg.build prog in
         let s = Isched_core.Sync_sched.run g machine in
         let v = Isched_sim.Value.run s in
-        let seq_log = Isched_exec.Readlog.create () in
-        let seq_mem = Isched_exec.Prog_interp.run ~log:seq_log prog in
+        let seq_mem, seq_log = Isched_check.Oracle.reference prog in
         let stale =
           Isched_exec.Readlog.compare_logs ~reference:seq_log ~actual:v.Isched_sim.Value.log
         in

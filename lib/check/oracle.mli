@@ -16,6 +16,18 @@
 
 module Schedule := Isched_core.Schedule
 module Dfg := Isched_dfg.Dfg
+module Program := Isched_ir.Program
+
+(** [reference p] — the sequential reference of [p]: the final memory
+    and read log of {!Isched_exec.Prog_interp.run}.  Each domain keeps
+    the last program's reference, keyed on physical identity ([==]), so
+    every schedule of one program shares one sequential run; a miss
+    drops the kept reference before computing the next and counts
+    [check.oracle.reference_runs].  The result is shared: callers only
+    read it (compare against it, diff it), never write to the memory or
+    record into the log.  A program must not be mutated after its first
+    reference (codegen output never is). *)
+val reference : Program.t -> Isched_exec.Memory.t * Isched_exec.Readlog.t
 
 (** [differential s] — [Ok ()] when the parallel execution of [s] is
     observably the sequential execution; [Error msgs] lists every

@@ -14,8 +14,16 @@ let addr_to_index v = Semantics.to_int v asr 2
 let observe log ~ivar ~instr_idx cell index (c : Memory.cell) =
   (match log with
   | None -> ()
-  | Some l -> Readlog.add l { Readlog.iter = ivar; instr = instr_idx; cell; index; observed = c.tag });
+  | Some l -> Readlog.record l ~iter:ivar ~instr:instr_idx ~cell ~index ~observed:c.tag);
   c.value
+
+let reads (p : Program.t) =
+  let loads =
+    Array.fold_left
+      (fun n -> function Instr.Load _ | Instr.Load_scalar _ -> n + 1 | _ -> n)
+      0 p.Program.body
+  in
+  loads * max 0 p.Program.n_iters
 
 let exec_instr mem ?log ~regs ~ivar ~instr_idx ~store (ins : Instr.t) =
   match ins with
@@ -27,13 +35,13 @@ let exec_instr mem ?log ~regs ~ivar ~instr_idx ~store (ins : Instr.t) =
         (operand regs ~ivar if_false)
   | Instr.Load { dst; base; addr } ->
     let index = addr_to_index (operand regs ~ivar addr) in
-    regs.(dst) <- observe log ~ivar ~instr_idx base (Some index) (Memory.read mem base index)
+    regs.(dst) <- observe log ~ivar ~instr_idx base index (Memory.read mem base index)
   | Instr.Store { base; addr; src } ->
     let index = addr_to_index (operand regs ~ivar addr) in
     store ~cell:base ~index:(Some index) ~value:(operand regs ~ivar src)
       ~tag:(Memory.Written { iter = ivar; instr = instr_idx })
   | Instr.Load_scalar { dst; name } ->
-    regs.(dst) <- observe log ~ivar ~instr_idx name None (Memory.read_scalar mem name)
+    regs.(dst) <- observe log ~ivar ~instr_idx name Readlog.scalar (Memory.read_scalar mem name)
   | Instr.Store_scalar { name; src } ->
     store ~cell:name ~index:None ~value:(operand regs ~ivar src)
       ~tag:(Memory.Written { iter = ivar; instr = instr_idx })

@@ -12,6 +12,11 @@ module Program := Isched_ir.Program
     iterations, reads recorded into [log] when given. *)
 val run : ?memory:Memory.t -> ?log:Readlog.t -> Program.t -> Memory.t
 
+(** [reads p] — how many reads {!run} logs for [p] (every load of the
+    if-converted body, once per iteration): the exact [capacity] for
+    {!Readlog.create}. *)
+val reads : Program.t -> int
+
 (** [exec_instr] — one instruction at iteration [ivar] over register
     file [regs] (exposed so the simulator reuses the exact semantics).
     Returns the updated register assignment implicitly (in [regs]); the

@@ -83,14 +83,13 @@ let check_restructure (l : Ast.loop) (r : Restructure.result) =
   match List.rev !errors with [] -> Ok () | es -> Error es
 
 let check_schedule prog sched =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let seq_log = Isched_exec.Readlog.create () in
-  let seq_mem = Isched_exec.Prog_interp.run ~log:seq_log prog in
+  let seq_mem, seq_log = Isched_check.Oracle.reference prog in
   let v = Isched_sim.Value.run sched in
-  List.iter (fun d -> err "memory: %s" d) (Memory.diff seq_mem v.Isched_sim.Value.memory);
-  List.iter
-    (fun m -> err "stale read: %s" (Format.asprintf "%a" Isched_exec.Readlog.pp_mismatch m))
-    (Isched_exec.Readlog.compare_logs ~reference:seq_log ~actual:v.Isched_sim.Value.log);
-  List.iter (fun r -> err "race: %s" r) v.Isched_sim.Value.races;
-  match List.rev !errors with [] -> Ok () | es -> Error es
+  let stale = Isched_exec.Readlog.compare_logs ~reference:seq_log ~actual:v.Isched_sim.Value.log in
+  match
+    List.map (( ^ ) "memory: ") (Memory.diff seq_mem v.Isched_sim.Value.memory)
+    @ List.map (Format.asprintf "stale read: %a" Isched_exec.Readlog.pp_mismatch) stale
+    @ List.map (( ^ ) "race: ") v.Isched_sim.Value.races
+  with
+  | [] -> Ok ()
+  | es -> Error es

@@ -21,6 +21,7 @@ val check_restructure :
   Ast.loop -> Isched_transform.Restructure.result -> (unit, string list) result
 
 (** [check_schedule prog sched] — compares the parallel value simulation
-    of [sched] against the sequential interpretation of [prog]. *)
+    of [sched] against the sequential interpretation of [prog] (its
+    {!Isched_check.Oracle.reference}). *)
 val check_schedule :
   Isched_ir.Program.t -> Isched_core.Schedule.t -> (unit, string list) result

@@ -67,7 +67,7 @@ let run (s : Schedule.t) =
   let rows = Array.map (split p) s.Schedule.rows in
   let n_rows = Array.length rows in
   let mem = Memory.create () in
-  let log = Readlog.create () in
+  let log = Readlog.create ~capacity:(Prog_interp.reads p) () in
   let logged = Some log in
   let races = ref [] in
   let n_signals = Array.length p.Program.signals in

@@ -229,6 +229,154 @@ let test_oracle_reports_deadlock () =
     Alcotest.(check bool) "deadlock reported" true
       (List.exists (fun m -> String.starts_with ~prefix:"Value.Deadlock: self-wait" m) msgs)
 
+(* --- the shared sequential reference --- *)
+
+module Readlog = Isched_exec.Readlog
+module Value = Isched_sim.Value
+
+let m41 = Machine.make ~issue:4 ~nfu:1 ()
+let c_reference_runs = Isched_obs.Counters.counter "check.oracle.reference_runs"
+
+let three_schedules g =
+  [
+    ("list", Isched_core.List_sched.run g m41);
+    ("marker", Isched_core.Marker_sched.run g m41);
+    ("new", Isched_core.Sync_sched.run g m41);
+  ]
+
+(* Each schedule followed by every fault injected into it. *)
+let with_faults schedules =
+  List.concat_map
+    (fun (w, s) ->
+      (w, s)
+      :: List.filter_map
+           (fun f -> Option.map (fun c -> (w ^ "+" ^ Inject.name f, c)) (Inject.inject f s))
+           Inject.all)
+    schedules
+
+(* Every DOACROSS corpus loop as [ischedc check --corpus] prepares it. *)
+let corpus_programs () =
+  List.filter_map
+    (fun l ->
+      match Pipeline.prepare l with
+      | Pipeline.Doall _ -> None
+      | Pipeline.Doacross { prog; graph; _ } -> Some (prog, graph))
+    (Isched_perfect.Suite.all_loops ())
+
+let test_readlog_compare_corpus () =
+  let mismatches = ref 0 in
+  List.iter
+    (fun (p, g) ->
+      let reference = Readlog.create () in
+      ignore (Isched_exec.Prog_interp.run ~log:reference p);
+      let entries = Readlog.to_list reference in
+      List.iter
+        (fun (w, s) ->
+          match Value.run s with
+          | exception Value.Deadlock _ -> ()
+          | v ->
+            let expected =
+              Readlog_ref.compare_logs ~reference:entries ~actual:(Readlog.to_list v.Value.log)
+            in
+            mismatches := !mismatches + List.length expected;
+            if Readlog.compare_logs ~reference ~actual:v.Value.log <> expected then
+              Alcotest.failf "%s %s: mismatch lists differ" p.Program.name w)
+        (with_faults (three_schedules g)))
+    (corpus_programs ());
+  Alcotest.(check bool) "some fault caused stale reads" true (!mismatches > 0)
+
+let verdict = Alcotest.(result unit (list string))
+
+(* The verdict on [s] with a cold reference slot: whatever program the
+   slot held before, this reference is computed afresh. *)
+let evict =
+  let other = compile "DOACROSS I = 1, 3\n A[I] = A[I-1]\nENDDO" in
+  fun () -> ignore (Oracle.reference other)
+
+let cold (s : Schedule.t) =
+  evict ();
+  Oracle.differential s
+
+(* Valid schedules and failing ones (no sync arcs; a hoisted wait) of
+   one program. *)
+let oracle_cases p =
+  let g = Dfg.build p in
+  let unsynced = Isched_core.List_sched.run (Dfg.build ~sync_arcs:false p) m41 in
+  let s = Isched_core.Sync_sched.run g m41 in
+  [ s; Isched_core.List_sched.run g m41; unsynced; Option.get (Inject.inject Inject.Hoist_wait s) ]
+
+let kernel_b = "DOACROSS I = 1, 50\n S1: A[I] = A[I-1] * E[I]\n S2: B[I] = A[I-2] + B[I-1]\nENDDO"
+
+let test_reference_memo_interleaved () =
+  let a = compile fig1_src and b = compile kernel_b in
+  let ca = oracle_cases a and cb = oracle_cases b in
+  let expected = List.map cold (ca @ cb @ ca) in
+  evict ();
+  let before = Isched_obs.Counters.value c_reference_runs in
+  let got = List.map Oracle.differential (ca @ cb @ ca) in
+  let runs = Isched_obs.Counters.value c_reference_runs - before in
+  check (Alcotest.list verdict) "A, B, A verdicts" expected got;
+  check Alcotest.int "one reference per run of one program" 3 runs;
+  Alcotest.(check bool) "the failing cases fail" true
+    (List.exists Result.is_error got && List.exists Result.is_ok got)
+
+let test_reference_memo_identity () =
+  let a = compile fig1_src in
+  let s = Isched_core.Sync_sched.run (Dfg.build a) m41 in
+  ignore (Oracle.differential s);
+  (* Equal, but another program: the slot must not answer for it. *)
+  let twin = { a with Program.name = a.Program.name } in
+  Alcotest.(check bool) "structurally equal" true (twin = a);
+  let before = Isched_obs.Counters.value c_reference_runs in
+  let m, log = Oracle.reference twin in
+  check Alcotest.int "a twin is a miss" 1 (Isched_obs.Counters.value c_reference_runs - before);
+  let m', log' = Oracle.reference a in
+  Alcotest.(check bool) "same reference memory" true (Isched_exec.Memory.equal m m');
+  Alcotest.(check bool) "same reference log" true (Readlog.to_list log = Readlog.to_list log');
+  (* A shorter run of the same body right after the full one: a stale
+     hit would report the full run's memory. *)
+  let short = { a with Program.n_iters = 7 } in
+  let s_short = Schedule.of_cycles short m41 s.Schedule.cycle_of in
+  let got = Oracle.differential s_short in
+  check verdict "short twin" (cold s_short) got;
+  check verdict "short twin passes" (Ok ()) got
+
+let test_reference_memo_two_domains () =
+  let cases = oracle_cases (compile fig1_src) @ oracle_cases (compile kernel_b) in
+  let cases = cases @ List.rev cases @ cases in
+  let expected = List.map cold cases in
+  let run () = List.map Oracle.differential cases in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check (Alcotest.list verdict) "domain 1" expected r1;
+  check (Alcotest.list verdict) "domain 2" expected r2
+
+(* The reference is keyed on the program's physical identity, which is
+   sound only if nothing writes a program after codegen: every
+   scheduler, the oracle and the injection campaign leave the body and
+   the sync tables as they found them, and schedule the very program
+   they were given. *)
+let test_program_never_written () =
+  List.iter
+    (fun (p, g) ->
+      let body = p.Program.body and signals = p.Program.signals and waits = p.Program.waits in
+      let copies = (Array.copy body, Array.copy signals, Array.copy waits) in
+      let schedules = three_schedules g in
+      ignore (Isched_core.Modulo_sched.run g m41);
+      List.iter
+        (fun (_, s) ->
+          ignore (Oracle.check_schedule ~graph:g s);
+          ignore (Inject.campaign ~graph:g s))
+        schedules;
+      List.iter
+        (fun (w, s) ->
+          if s.Schedule.prog != p then Alcotest.failf "%s %s: another program" p.Program.name w)
+        (with_faults schedules);
+      if (body, signals, waits) <> copies then Alcotest.failf "%s: program written" p.Program.name;
+      Alcotest.(check bool) "same arrays" true
+        (p.Program.body == body && p.Program.signals == signals && p.Program.waits == waits))
+    (corpus_programs ())
+
 (* --- pipeline hook --- *)
 
 let test_pipeline_validate_passes () =
@@ -261,4 +409,10 @@ let suite =
     ("oracle: catches stale reads", `Quick, test_oracle_catches_stale_reads);
     ("pipeline: validate:true passes on valid schedules", `Quick, test_pipeline_validate_passes);
     ("oracle: reports a deadlock instead of raising", `Quick, test_oracle_reports_deadlock);
+    ("readlog: compare matches the hash-table reference on the corpus", `Slow,
+      test_readlog_compare_corpus);
+    ("oracle: reference memo, programs A, B, A", `Quick, test_reference_memo_interleaved);
+    ("oracle: reference memo keys on identity", `Quick, test_reference_memo_identity);
+    ("oracle: reference memo from two domains", `Quick, test_reference_memo_two_domains);
+    ("oracle: programs are never written after codegen", `Slow, test_program_never_written);
   ]

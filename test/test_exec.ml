@@ -244,6 +244,103 @@ let test_readlog_compare () =
   check Alcotest.int "self comparison clean" 0
     (List.length (Readlog.compare_logs ~reference ~actual:reference))
 
+(* The flat log against the hash-table compare it replaced
+   ([Readlog_ref]): the same mismatches in the same order, on logs with
+   repeated reads, negative iterations, scalars and reads only one side
+   made.  Some cases spread iterations over (-2^36, 2^36) or
+   instructions over [0, 2^24), which the dense index does not cover. *)
+let prop_readlog_compare_matches_reference =
+  let open QCheck2.Gen in
+  let gen_log (iters, instrs) =
+    list_size (int_range 0 40)
+      (map
+         (fun (iter, instr, (cell, index), observed) -> { Readlog.iter; instr; cell; index; observed })
+         (quad iters instrs
+            (oneof
+               [
+                 map (fun i -> ("A", Some i)) (int_range (-4) 20);
+                 map (fun i -> ("B", Some i)) (int_range (-4) 20);
+                 return ("S", None);
+               ])
+            (frequency
+               [
+                 (1, return Memory.Initial);
+                 ( 3,
+                   map2
+                     (fun iter instr -> Memory.Written { iter; instr })
+                     (int_range (-3) 3) (int_range 0 3) );
+               ])))
+  in
+  let near = int_range (-6) 6 and few = int_range 0 9 in
+  let gen =
+    frequency
+      [
+        (4, return (near, few));
+        (1, return (oneof [ near; int_range (-(1 lsl 36)) (1 lsl 36) ], few));
+        (1, return (near, oneof [ few; int_range 0 ((1 lsl 24) - 1) ]));
+      ]
+    >>= fun space -> triple (gen_log space) (gen_log space) (gen_log space)
+  in
+  let print_entry (e : Readlog.entry) =
+    Printf.sprintf "(%d,%d) %s%s <- %s" e.iter e.instr e.cell
+      (match e.index with Some i -> Printf.sprintf "[%d]" i | None -> "")
+      (Format.asprintf "%a" Memory.pp_tag e.observed)
+  in
+  let log entries =
+    let t = Readlog.create ~capacity:1 () in
+    List.iter (Readlog.add t) entries;
+    t
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"readlog: compare matches the hash-table reference"
+       ~print:QCheck2.Print.(triple (list print_entry) (list print_entry) (list print_entry))
+       gen
+       (fun (reference, actual, extra) ->
+         let r = log reference and a = log actual in
+         let expected = Readlog_ref.compare_logs ~reference ~actual in
+         Readlog.to_list r = reference
+         && Readlog.to_list a = actual
+         && Readlog.compare_logs ~reference:r ~actual:a = expected
+         (* again, through the index kept in [r] *)
+         && Readlog.compare_logs ~reference:r ~actual:a = expected
+         (* reads recorded after a compare retire that index *)
+         && (List.iter (Readlog.add r) extra;
+             Readlog.compare_logs ~reference:r ~actual:a
+             = Readlog_ref.compare_logs ~reference:(reference @ extra) ~actual)))
+
+(* A read that would alias another when packed is refused. *)
+let test_readlog_packing_range () =
+  let log = Readlog.create () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let rec_ ?(iter = 0) ?(instr = 0) ?(index = 0) ?(observed = Memory.Initial) () =
+    Readlog.record log ~iter ~instr ~cell:"A" ~index ~observed
+  in
+  let w iter instr = Memory.Written { iter; instr } in
+  rejects "instr 2^24" (rec_ ~instr:(1 lsl 24));
+  rejects "negative instr" (rec_ ~instr:(-1));
+  rejects "iter 2^37" (rec_ ~iter:(1 lsl 37));
+  rejects "iter -2^37" (rec_ ~iter:(-(1 lsl 37)));
+  (* packs to min_int, the sentinel of the Initial tag *)
+  rejects "tag on the Initial sentinel" (rec_ ~observed:(w (min_int asr 24) 0));
+  rejects "writer instr 2^24" (rec_ ~observed:(w 0 (1 lsl 24)));
+  rejects "index Some min_int" (fun () ->
+      Readlog.add log { Readlog.iter = 0; instr = 0; cell = "A"; index = Some min_int; observed = Memory.Initial });
+  check Alcotest.int "nothing recorded" 0 (List.length (Readlog.to_list log));
+  let edge =
+    [
+      { Readlog.iter = (1 lsl 37) - 1; instr = (1 lsl 24) - 1; cell = "A"; index = Some max_int;
+        observed = w (-(1 lsl 37) + 1) 0 };
+      { Readlog.iter = -(1 lsl 37) + 1; instr = 0; cell = "S"; index = None;
+        observed = w ((1 lsl 37) - 1) ((1 lsl 24) - 1) };
+    ]
+  in
+  List.iter (Readlog.add log) edge;
+  check Alcotest.bool "edges round-trip" true (Readlog.to_list log = edge)
+
 let test_prog_interp_logs_reads () =
   let prog = Isched_codegen.Codegen.compile (parse "DO I = 1, 3\n A[I] = A[I-1] + E[I]\nENDDO") in
   let log = Readlog.create () in
@@ -286,6 +383,8 @@ let suite =
     ("interp agreement: whole corpus", `Slow, test_interp_agreement_corpus);
     ("readlog: entries", `Quick, test_readlog_roundtrip);
     ("readlog: mismatch detection", `Quick, test_readlog_compare);
+    prop_readlog_compare_matches_reference;
+    ("readlog: out-of-range reads are refused", `Quick, test_readlog_packing_range);
     ("prog interp: read provenance", `Quick, test_prog_interp_logs_reads);
     prop_memory_equal_is_empty_diff;
     ("memory: equality corner cases", `Quick, test_memory_equal_cases);
