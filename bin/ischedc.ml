@@ -19,6 +19,7 @@
      load      - Zipf closed-loop load generator against a running daemon *)
 
 open Cmdliner
+module Pipeline = Isched_harness.Pipeline
 
 let read_file path =
   let ic = open_in_bin path in
@@ -26,12 +27,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Malformed source is a user error: one line naming the file, exit 2. *)
 let load_loops path =
-  let src = read_file path in
   let name = Filename.remove_extension (Filename.basename path) in
-  let loops = Isched_frontend.Parser.parse ~name src in
-  List.iter Isched_frontend.Sema.check_exn loops;
-  loops
+  match Isched_frontend.Sema.parse_checked ~name (read_file path) with
+  | Ok loops -> loops
+  | Error m ->
+    Printf.eprintf "%s: %s\n%!" path m;
+    exit 2
 
 (* --- common flags --- *)
 
@@ -92,45 +95,35 @@ let file_arg =
 let restructure_flag =
   Arg.(value & flag & info [ "restructure"; "r" ] ~doc:"Apply the Parafrase-surrogate restructuring first.")
 
-let issue_arg = Arg.(value & opt int 4 & info [ "issue" ] ~docv:"N" ~doc:"Issue width (default 4).")
+let issue_arg =
+  Arg.(value & opt count_conv 4 & info [ "issue" ] ~docv:"N" ~doc:"Issue width (default 4).")
 
 let nfu_arg =
-  Arg.(value & opt int 1 & info [ "nfu" ] ~docv:"N" ~doc:"Copies of each function unit (default 1).")
+  Arg.(value & opt count_conv 1 & info [ "nfu" ] ~docv:"N"
+         ~doc:"Copies of each function unit (default 1).")
 
 let machine_term =
   let make issue nfu = Isched_ir.Machine.make ~issue ~nfu () in
   Term.(const make $ issue_arg $ nfu_arg)
 
 let unroll_arg =
-  Arg.(value & opt int 1 & info [ "unroll" ] ~docv:"U" ~doc:"Unroll the loop by U before compiling.")
+  Arg.(value & opt count_conv 1 & info [ "unroll" ] ~docv:"U"
+         ~doc:"Unroll the loop by U before compiling.")
 
 let spill_arg =
-  Arg.(value & opt (some int) None & info [ "spill-k" ] ~docv:"K"
+  Arg.(value & opt (some count_conv) None & info [ "spill-k" ] ~docv:"K"
          ~doc:"Materialize spill code for a K-register file.")
 
 let nprocs_arg =
-  Arg.(value & opt (some int) None & info [ "nprocs" ] ~docv:"P"
+  Arg.(value & opt (some count_conv) None & info [ "nprocs" ] ~docv:"P"
          ~doc:"Simulate with P processors (cyclic assignment) instead of one per iteration.")
-
-type which_sched = Sched_list | Sched_marker | Sched_new
 
 let scheduler_arg =
   let which_conv =
-    Arg.enum [ ("list", Sched_list); ("marker", Sched_marker); ("new", Sched_new) ]
+    Arg.enum (List.map (fun w -> (Pipeline.scheduler_tag w, w)) Pipeline.all_schedulers)
   in
   Arg.(value & opt (some which_conv) None & info [ "scheduler" ] ~docv:"WHICH"
          ~doc:"Restrict to one scheduler: list, marker or new (default: compare all).")
-
-let run_scheduler which g machine =
-  match which with
-  | Sched_list -> Isched_core.List_sched.run g machine
-  | Sched_marker -> Isched_core.Marker_sched.run g machine
-  | Sched_new -> Isched_core.Sync_sched.run g machine
-
-let scheduler_title = function
-  | Sched_list -> "list scheduling"
-  | Sched_marker -> "marker-guided scheduling"
-  | Sched_new -> "new instruction scheduling"
 
 let maybe_unroll factor l = if factor > 1 then Isched_transform.Unroll.run l ~factor else l
 
@@ -235,11 +228,11 @@ let sched_cmd =
         in
         Format.printf "=== loop %s ===@." l.Isched_frontend.Ast.name;
         match which with
-        | Some w -> report (scheduler_title w) (run_scheduler w g machine)
+        | Some w -> report (Pipeline.scheduler_name w) (Pipeline.schedule_graph w g machine)
         | None ->
           List.iter
-            (fun w -> report (scheduler_title w) (run_scheduler w g machine))
-            [ Sched_list; Sched_marker; Sched_new ])
+            (fun w -> report (Pipeline.scheduler_name w) (Pipeline.schedule_graph w g machine))
+            Pipeline.all_schedulers)
       (load_loops file)
   in
   let wide =
@@ -261,18 +254,16 @@ let sim_cmd =
         let prog = Isched_codegen.Codegen.compile l in
         let g = Isched_dfg.Dfg.build prog in
         let s = Isched_core.Sync_sched.run g machine in
-        let v = Isched_sim.Value.run s in
-        let seq_mem, seq_log = Isched_check.Oracle.reference prog in
-        let stale =
-          Isched_exec.Readlog.compare_logs ~reference:seq_log ~actual:v.Isched_sim.Value.log
-        in
-        Format.printf
-          "loop %s: finished in %d cycles; memory %s the sequential reference; %d stale reads; %d races@."
-          l.Isched_frontend.Ast.name v.Isched_sim.Value.finish
-          (if Isched_exec.Memory.equal seq_mem v.Isched_sim.Value.memory then "matches"
-           else "DIFFERS FROM")
-          (List.length stale)
-          (List.length v.Isched_sim.Value.races))
+        (* The oracle fails any schedule on which the timing and value
+           simulators disagree, so the timing engine's cycle stands for
+           both. *)
+        Format.printf "loop %s: finished in %d cycles; " l.Isched_frontend.Ast.name
+          (Isched_sim.Timing.run s).Isched_sim.Timing.finish;
+        match Isched_check.Oracle.differential s with
+        | Ok () -> Format.printf "matches the sequential reference@."
+        | Error msgs ->
+          Format.printf "DIFFERS from the sequential reference:@.";
+          List.iter (Format.printf "  %s@.") msgs)
       (load_loops file)
   in
   Cmd.v
@@ -291,8 +282,8 @@ let asm_cmd =
         let result =
           if scheduled then begin
             let g = Isched_dfg.Dfg.build prog in
-            let w = Option.value ~default:Sched_new which in
-            Isched_codegen.Asm.emit_schedule ~k (run_scheduler w g machine)
+            let w = Option.value ~default:Pipeline.Sched_new which in
+            Isched_codegen.Asm.emit_schedule ~k (Pipeline.schedule_graph w g machine)
           end
           else Isched_codegen.Asm.emit ~k prog
         in
@@ -301,7 +292,9 @@ let asm_cmd =
         | Error e -> Format.printf "error: %s@." e)
       (load_loops file)
   in
-  let k = Arg.(value & opt int 16 & info [ "regs" ] ~docv:"K" ~doc:"Physical registers (default 16).") in
+  let k =
+    Arg.(value & opt count_conv 16 & info [ "regs" ] ~docv:"K" ~doc:"Physical registers (default 16).")
+  in
   let scheduled =
     Arg.(value & flag & info [ "scheduled" ] ~doc:"Emit the scheduled VLIW-style bundles instead of program order.")
   in
@@ -321,8 +314,8 @@ let viz_cmd =
         let l = maybe_unroll unroll l in
         let prog = Isched_codegen.Codegen.compile l in
         let g = Isched_dfg.Dfg.build prog in
-        let w = Option.value ~default:Sched_new which in
-        let s = run_scheduler w g machine in
+        let w = Option.value ~default:Pipeline.Sched_new which in
+        let s = Pipeline.schedule_graph w g machine in
         print_string (Isched_sim.Viz.wavefront_ascii ?n_procs:nprocs s);
         match out with
         | None -> ()
@@ -356,7 +349,6 @@ let viz_cmd =
 let check_cmd =
   let module Check = Isched_check.Oracle in
   let module Inject = Isched_check.Inject in
-  let module Pipeline = Isched_harness.Pipeline in
   (* One loop's report: built as data so the pool can fan loops across
      domains while the printed order stays the input order.  [uncached]
      skips the prepare memo — the streamed --scale path would otherwise
@@ -371,15 +363,15 @@ let check_cmd =
      with
     | Pipeline.Doall _ -> add "DOALL after restructuring - no schedule to check"
     | Pipeline.Doacross { graph; _ } ->
-      let scheds = match which with None -> [ Sched_list; Sched_marker; Sched_new ] | Some w -> [ w ] in
+      let scheds = match which with None -> Pipeline.all_schedulers | Some w -> [ w ] in
       List.iter
         (fun w ->
-          let s = run_scheduler w graph machine in
+          let s = Pipeline.schedule_graph w graph machine in
           match Check.check_schedule ~graph s with
-          | Ok () -> add "%s: ok (static + differential)" (scheduler_title w)
+          | Ok () -> add "%s: ok (static + differential)" (Pipeline.scheduler_name w)
           | Error msgs ->
             incr fails;
-            add "%s: INVALID" (scheduler_title w);
+            add "%s: INVALID" (Pipeline.scheduler_name w);
             List.iter (fun m -> add "  %s" m) msgs)
         scheds;
       (if which = None then
@@ -392,12 +384,12 @@ let check_cmd =
       if inject then
         List.iter
           (fun w ->
-            let s = run_scheduler w graph machine in
+            let s = Pipeline.schedule_graph w graph machine in
             List.iter
               (fun (o : Inject.outcome) ->
                 if not o.Inject.injected then
                   add "[inject] %s under %s: no opportunity" (Inject.name o.Inject.fault)
-                    (scheduler_title w)
+                    (Pipeline.scheduler_name w)
                 else begin
                   (* Name both sides of the experiment — the injected
                      fault class and the classes the checker reported —
@@ -413,13 +405,13 @@ let check_cmd =
                   in
                   if o.Inject.detected then
                     add "[inject] injected %s under %s: detected as [%s] (%d violation(s))"
-                      (Inject.name o.Inject.fault) (scheduler_title w)
+                      (Inject.name o.Inject.fault) (Pipeline.scheduler_name w)
                       (String.concat ", " reported)
                       (List.length o.Inject.violations)
                   else begin
                     incr fails;
                     add "[inject] injected %s under %s: MISSED - checker reported %s"
-                      (Inject.name o.Inject.fault) (scheduler_title w)
+                      (Inject.name o.Inject.fault) (Pipeline.scheduler_name w)
                       (if reported = [] then "nothing"
                        else Printf.sprintf "only [%s]" (String.concat ", " reported))
                   end
@@ -531,15 +523,9 @@ let check_cmd =
 (* --- explain --- *)
 
 let explain_cmd =
-  let module Pipeline = Isched_harness.Pipeline in
   let module Explain = Isched_harness.Explain in
   let run () file machine which fmt pair =
-    let which =
-      match which with
-      | None | Some Sched_new -> Pipeline.New_scheduling
-      | Some Sched_list -> Pipeline.List_scheduling
-      | Some Sched_marker -> Pipeline.Marker_scheduling
-    in
+    let which = Option.value ~default:Pipeline.Sched_new which in
     let failed = ref false in
     List.iter
       (fun l ->
@@ -872,7 +858,6 @@ let sync_elim_flag =
 
 let tables_cmd =
   let module Report = Isched_harness.Report in
-  let module Pipeline = Isched_harness.Pipeline in
   let run () () which scale sync_elim =
     let options = { Pipeline.default_options with Pipeline.sync_elim } in
     (* Table 1 and the categories need no timing runs. *)

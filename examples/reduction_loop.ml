@@ -38,7 +38,7 @@ let () =
      after combining the reduction partials, reading the expanded
      scalar's last element and applying the induction variable's closed
      form. *)
-  (match Isched_harness.Equivalence.check_restructure loop r with
+  (match Isched_check.Oracle.check_restructure loop r with
   | Ok () -> print_endline "\nequivalence check: restructured loop matches the original  [ok]"
   | Error es ->
     print_endline "\nequivalence check FAILED:";

@@ -48,7 +48,7 @@ let () =
         (match Isched_core.Schedule.validate s g with
         | Ok () -> ()
         | Error e -> failwith ("illegal schedule: " ^ e));
-        (match Isched_harness.Equivalence.check_schedule prog s with
+        (match Isched_check.Oracle.differential s with
         | Ok () -> ()
         | Error es -> failwith ("value mismatch: " ^ String.concat "; " es));
         s

@@ -10,9 +10,9 @@ let c_runs = Counters.counter "sched.new.runs"
 let c_fallbacks = Counters.counter "sched.new.list_fallback"
 let d_sync_span = Counters.dist "sched.new.sync_span"
 
-type options = { order_paths : bool; compact : bool }
+type options = { order_paths : bool }
 
-let default_options = { order_paths = true; compact = true }
+let default_options = { order_paths = true }
 
 type state = {
   g : Dfg.t;
@@ -223,7 +223,7 @@ let run_inner ~options ?baseline (g : Dfg.t) machine =
      [place]. *)
   Array.iter (fun i -> place st i) (Dfg.priority_order g);
   let sched = Schedule.of_cycles p machine st.cycle_of in
-  let sched = if options.compact then Schedule.compact sched g else sched in
+  let sched = Schedule.compact sched g in
   (* The paper's guarantee that the technique "never degrades the system
      performance" is enforced by construction: if plain list scheduling
      would finish the loop earlier (possible on loops with little or no

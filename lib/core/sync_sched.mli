@@ -26,17 +26,18 @@
 
 module Machine := Isched_ir.Machine
 
-(** Tuning knobs, mostly for the ablation benches. *)
+(** The ablation knob. *)
 type options = {
   order_paths : bool;
       (** sort path groups by damage [(n/d)*|SP|] (default true; ablation
           A1 turns it off to measure the value of the ordering rule) *)
-  compact : bool;  (** squeeze legal empty rows afterwards (default true) *)
 }
 
 val default_options : options
 
-(** [run ?options ?baseline g m] schedules [g]'s program on machine [m].
+(** [run ?options ?baseline g m] schedules [g]'s program on machine [m],
+    then squeezes out the empty rows whose removal keeps it legal
+    ({!Schedule.compact}).
 
     [baseline], when given, must be [List_sched.run g m]'s result; the
     never-degrade comparison then reuses it instead of re-running the

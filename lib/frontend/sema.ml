@@ -65,3 +65,16 @@ let check_exn l =
   | errs ->
     let msgs = List.map (fun e -> Format.asprintf "%a" pp_error e) errs in
     invalid_arg (String.concat "; " msgs)
+
+let parse_checked ?name src =
+  match
+    let loops = Parser.parse ?name src in
+    List.iter check_exn loops;
+    loops
+  with
+  | loops -> Ok loops
+  | exception Parser.Error { line; col; message } ->
+    Error (Printf.sprintf "parse error at %d:%d: %s" line col message)
+  | exception Lexer.Error { line; col; message } ->
+    Error (Printf.sprintf "lex error at %d:%d: %s" line col message)
+  | exception Invalid_argument m -> Error m

@@ -20,3 +20,9 @@ val check : Ast.loop -> error list
 val check_exn : Ast.loop -> unit
 
 val pp_error : Format.formatter -> error -> unit
+
+(** [parse_checked ?name src] — {!Parser.parse} then {!check_exn} on
+    every loop, with malformed input as a one-line message instead of an
+    exception: ["parse error at L:C: ..."], ["lex error at L:C: ..."] or
+    the semantic summary. *)
+val parse_checked : ?name:string -> string -> (Ast.loop list, string) result

@@ -56,14 +56,14 @@ let chain_of last i =
 
 let stmt_labels (l : Ast.loop) = Array.of_list (List.map (fun s -> s.Ast.label) l.Ast.body)
 
-let build ?(options = Pipeline.default_options) ?(which = Pipeline.New_scheduling) loop machine =
+let build ?(options = Pipeline.default_options) ?(which = Pipeline.Sched_new) loop machine =
   match Pipeline.prepare ~options loop with
   | Pipeline.Doall r ->
     Error
       (Printf.sprintf "%s is a DOALL loop: no synchronization to explain"
          r.Restructure.loop.Ast.name)
   | Pipeline.Doacross { restructured; prog; _ } as prepared ->
-    let schedule, all = Pipeline.schedule_traced ~options prepared machine which in
+    let schedule, all = Pipeline.schedule_traced prepared machine which in
     let tag = Pipeline.scheduler_tag which in
     let of_tag t =
       List.filter
@@ -82,7 +82,7 @@ let build ?(options = Pipeline.default_options) ?(which = Pipeline.New_schedulin
        baseline's decisions instead of a schedule that was thrown away. *)
     let tagged = of_tag tag in
     let scheduler, decisions, fallback =
-      if which = Pipeline.New_scheduling && (not (all_match tagged)) && all_match (of_tag "list")
+      if which = Pipeline.Sched_new && (not (all_match tagged)) && all_match (of_tag "list")
       then ("list (fallback from new)", of_tag "list", true)
       else (tag, tagged, false)
     in

@@ -40,7 +40,7 @@ type t = {
 
 (** [build ?options ?which loop machine] prepares, trace-schedules
     (via {!Pipeline.schedule_traced}) and joins.  [which] defaults to
-    {!Pipeline.New_scheduling}.  [Error] on a DOALL loop (nothing to
+    {!Pipeline.Sched_new}.  [Error] on a DOALL loop (nothing to
     explain).  When the new scheduler fell back to its list baseline,
     decisions are attributed to the baseline run and [fallback] is set;
     decisions whose cycle was later moved by compaction are annotated in

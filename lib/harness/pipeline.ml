@@ -8,11 +8,10 @@ module Counters = Isched_obs.Counters
 type options = {
   migrate : bool;
   sync_elim : bool;
-  order_paths : bool;
   n_iters : int option;
 }
 
-let default_options = { migrate = false; sync_elim = false; order_paths = true; n_iters = None }
+let default_options = { migrate = false; sync_elim = false; n_iters = None }
 
 type prepared =
   | Doall of Restructure.result
@@ -23,28 +22,25 @@ type prepared =
       graph : Isched_dfg.Dfg.t;
     }
 
-type scheduler = List_scheduling | Marker_scheduling | New_scheduling
+type scheduler = Sched_list | Sched_marker | Sched_new
 
-let all_schedulers = [ List_scheduling; Marker_scheduling; New_scheduling ]
+let all_schedulers = [ Sched_list; Sched_marker; Sched_new ]
 
 let scheduler_name = function
-  | List_scheduling -> "list scheduling"
-  | Marker_scheduling -> "marker-guided scheduling"
-  | New_scheduling -> "new instruction scheduling"
+  | Sched_list -> "list scheduling"
+  | Sched_marker -> "marker-guided scheduling"
+  | Sched_new -> "new instruction scheduling"
+
+let scheduler_tag = function Sched_list -> "list" | Sched_marker -> "marker" | Sched_new -> "new"
 
 (* The front half of the pipeline is pure: the same (loop, options) pair
    always restructures, compiles and builds the same graph, and none of
    the produced structures is mutated downstream (schedulers allocate
    their own working state).  The tables and ablations re-prepare the
    same corpus loops dozens of times, so [prepare] memoizes on the
-   structural key below: the loop plus the whole options record, with
-   the scheduler-only [order_paths] reset to its default.  Every other
-   field is keyed without being named here, so a new front-half option
-   cannot be left out of the key. *)
+   structural key below: the loop plus the whole options record, so a
+   new option cannot be left out of the key. *)
 type prep_key = { key_loop : Ast.loop; key_options : options }
-
-let prep_key options l =
-  { key_loop = l; key_options = { options with order_paths = default_options.order_paths } }
 
 (* Key hashing rides on the digest the frontend computed once at loop
    construction (the polymorphic hash samples only the first few AST
@@ -101,24 +97,21 @@ let prepare_uncached (options : options) (l : Ast.loop) =
       end)
 
 let prepare ?(options = default_options) (l : Ast.loop) =
-  fst
-    (Isched_util.Cache.find_or_compute memo (prep_key options l) (fun () ->
-         prepare_uncached options l))
+  let key = { key_loop = l; key_options = options } in
+  fst (Isched_util.Cache.find_or_compute memo key (fun () -> prepare_uncached options l))
 
-let schedule_inner ~options prepared machine which =
+let schedule_graph which graph machine =
+  match which with
+  | Sched_list -> Isched_core.List_sched.run graph machine
+  | Sched_marker -> Isched_core.Marker_sched.run graph machine
+  | Sched_new -> Isched_core.Sync_sched.run graph machine
+
+let schedule_inner prepared machine which =
   match prepared with
   | Doall r ->
     invalid_arg
       (Printf.sprintf "Pipeline.schedule: %s is a DOALL loop" r.Restructure.loop.Ast.name)
-  | Doacross { graph; _ } -> (
-    match which with
-    | List_scheduling -> Isched_core.List_sched.run graph machine
-    | Marker_scheduling -> Isched_core.Marker_sched.run graph machine
-    | New_scheduling ->
-      let opts =
-        { Isched_core.Sync_sched.default_options with order_paths = options.order_paths }
-      in
-      Isched_core.Sync_sched.run ~options:opts graph machine)
+  | Doacross { graph; _ } -> schedule_graph which graph machine
 
 exception Invalid_schedule_produced of { scheduler : string; diagnostics : string }
 
@@ -145,12 +138,12 @@ let validate_schedule which (s : Isched_core.Schedule.t) graph =
   (match Isched_check.Static.check ~graph s with Ok () -> () | Error vs -> fail vs);
   match Isched_check.Static.check s with Ok () -> () | Error vs -> fail vs
 
-let schedule ?(options = default_options) ?(validate = false) prepared machine which =
+let schedule ?(validate = false) prepared machine which =
   let s =
     if Span.enabled () then
       Span.with_ ~name:"pipeline.schedule" ~args:[ ("scheduler", scheduler_name which) ] (fun () ->
-          schedule_inner ~options prepared machine which)
-    else schedule_inner ~options prepared machine which
+          schedule_inner prepared machine which)
+    else schedule_inner prepared machine which
   in
   (if validate then
      match prepared with
@@ -158,12 +151,7 @@ let schedule ?(options = default_options) ?(validate = false) prepared machine w
      | Doacross { graph; _ } -> validate_schedule which s graph);
   s
 
-let scheduler_tag = function
-  | List_scheduling -> "list"
-  | Marker_scheduling -> "marker"
-  | New_scheduling -> "new"
-
-let schedule_traced ?(options = default_options) ?validate prepared machine which =
+let schedule_traced ?validate prepared machine which =
   let module Provenance = Isched_obs.Provenance in
   let was = Provenance.enabled () in
   Provenance.reset ();
@@ -171,14 +159,14 @@ let schedule_traced ?(options = default_options) ?validate prepared machine whic
   Fun.protect
     ~finally:(fun () -> Provenance.set_enabled was)
     (fun () ->
-      let s = schedule ~options ?validate prepared machine which in
+      let s = schedule ?validate prepared machine which in
       (s, Provenance.decisions ()))
 
-let loop_time ?(options = default_options) ?validate prepared machine which =
-  let s = schedule ~options ?validate prepared machine which in
+let loop_time ?validate prepared machine which =
+  let s = schedule ?validate prepared machine which in
   (Isched_sim.Timing.run s).Isched_sim.Timing.finish
 
-let list_and_new_times ?(options = default_options) prepared machine =
+let list_and_new_times ?options:(_ : options option) prepared machine =
   match prepared with
   | Doall r ->
     invalid_arg
@@ -186,14 +174,11 @@ let list_and_new_times ?(options = default_options) prepared machine =
          r.Restructure.loop.Ast.name)
   | Doacross { graph; _ } ->
     let s_list = Isched_core.List_sched.run graph machine in
-    let opts =
-      { Isched_core.Sync_sched.default_options with order_paths = options.order_paths }
-    in
     (* The list schedule doubles as the new scheduler's never-degrade
        baseline: both measurements cost one list run instead of two.
        When the comparison falls back it returns the baseline itself, so
        physical equality marks the second simulation as redundant. *)
-    let s_new = Isched_core.Sync_sched.run ~options:opts ~baseline:s_list graph machine in
+    let s_new = Isched_core.Sync_sched.run ~baseline:s_list graph machine in
     let t_list = (Isched_sim.Timing.run s_list).Isched_sim.Timing.finish in
     let t_new =
       if s_new == s_list then t_list

@@ -18,7 +18,6 @@ type options = {
       (** post-codegen transitive-reduction pass ({!Isched_sync.Elim}):
           deletes Send/Wait pairs whose ordering is already enforced
           transitively and rebuilds the graph the schedulers see *)
-  order_paths : bool;  (** new scheduler's damage ordering (ablation A1) *)
   n_iters : int option;  (** override the loops' trip count *)
 }
 
@@ -41,10 +40,9 @@ type prepared =
 
 (** [prepare ?options l] runs the front half of the pipeline.
 
-    Results are memoized on the structural key (loop, options), with
-    the scheduler-only [order_paths] field reset to its default — every
-    option the front half reads is part of the key, so toggling a pass
-    can never return a stale preparation: the tables, sweeps and
+    Results are memoized on the structural key (loop, options) — the
+    whole options record is the key, so toggling a pass can never
+    return a stale preparation: the tables, sweeps and
     ablations re-prepare the same corpus loops many times, and
     restructuring + code generation + graph construction dominate their
     cost.  The memo is an {!Isched_util.Cache}: bounded at 1024 entries
@@ -71,19 +69,38 @@ val memo_stats : unit -> int * int
     counters (for tests and memory-sensitive callers). *)
 val memo_clear : unit -> unit
 
-type scheduler = List_scheduling | Marker_scheduling | New_scheduling
+(** The schedulers the pipeline can drive.  This is the one scheduler
+    type: the CLI's [--scheduler] values and the serve protocol's
+    scheduler field ({!Isched_serve.Protocol.scheduler}) are this type
+    under {!scheduler_tag}. *)
+type scheduler = Sched_list | Sched_marker | Sched_new
 
 (** Every scheduler the pipeline can drive, in baseline-to-best order
     (the property tests check all of them). *)
 val all_schedulers : scheduler list
+
+(** [scheduler_name which] — the human-readable title: ["list
+    scheduling"], ["marker-guided scheduling"] or ["new instruction
+    scheduling"]. *)
+val scheduler_name : scheduler -> string
+
+(** [scheduler_tag which] — the short name: ["list"], ["marker"] or
+    ["new"].  The schedulers stamp it on their provenance decisions, and
+    it is the CLI's [--scheduler] value and the protocol's wire name. *)
+val scheduler_tag : scheduler -> string
+
+(** [schedule_graph which g m] — run scheduler [which] on graph [g] for
+    machine [m] with its default options. *)
+val schedule_graph : scheduler -> Isched_dfg.Dfg.t -> Machine.t -> Isched_core.Schedule.t
 
 (** Raised by {!schedule} with [~validate:true] when the independent
     checker ({!Isched_check.Static}) finds violations in a produced
     schedule.  [diagnostics] is the located, one-per-line rendering. *)
 exception Invalid_schedule_produced of { scheduler : string; diagnostics : string }
 
-(** [schedule ?options ?validate prepared m which] — the back half; only
-    valid on [Doacross].  The result passes
+(** [schedule ?validate prepared m which] — the back half; only
+    valid on [Doacross].  It reads no option: everything the options
+    select is already in [prepared].  The result passes
     {!Isched_core.Schedule.validate}.
 
     [validate] (default [false]) additionally runs the independent
@@ -91,11 +108,9 @@ exception Invalid_schedule_produced of { scheduler : string; diagnostics : strin
     used and a trusted rebuild — and raises
     {!Invalid_schedule_produced} on any violation.  Opt-in because the
     checker roughly doubles the per-schedule cost. *)
-val schedule :
-  ?options:options -> ?validate:bool -> prepared -> Machine.t -> scheduler ->
-  Isched_core.Schedule.t
+val schedule : ?validate:bool -> prepared -> Machine.t -> scheduler -> Isched_core.Schedule.t
 
-(** [schedule_traced ?options ?validate prepared m which] — {!schedule}
+(** [schedule_traced ?validate prepared m which] — {!schedule}
     with {!Isched_obs.Provenance} recording enabled for the duration:
     resets the decision ring, schedules, and returns the schedule paired
     with its decision list (every placement of the run, including those
@@ -103,29 +118,24 @@ val schedule :
     restored on exit, even on exceptions.  The schedule is byte-identical
     to an untraced {!schedule} (pinned by the property suite). *)
 val schedule_traced :
-  ?options:options ->
   ?validate:bool ->
   prepared ->
   Machine.t ->
   scheduler ->
   Isched_core.Schedule.t * Isched_obs.Provenance.decision list
 
-(** [scheduler_tag which] — the short tag the schedulers stamp on their
-    provenance decisions: ["list"], ["marker"] or ["new"]. *)
-val scheduler_tag : scheduler -> string
-
-(** [loop_time ?options ?validate prepared m which] — parallel execution
+(** [loop_time ?validate prepared m which] — parallel execution
     time of the loop from the timing simulator ({!Isched_sim.Timing}).
     Like the paper's statistics, only DOACROSS loops are measured;
     raises [Invalid_argument] on [Doall].  [validate] as in
     {!schedule}. *)
-val loop_time : ?options:options -> ?validate:bool -> prepared -> Machine.t -> scheduler -> int
+val loop_time : ?validate:bool -> prepared -> Machine.t -> scheduler -> int
 
 (** [list_and_new_times ?options prepared m] — [loop_time] for
-    [List_scheduling] and [New_scheduling] in one call, reusing the list
+    [Sched_list] and [Sched_new] in one call, reusing the list
     schedule as the new scheduler's never-degrade baseline so the list
     scheduler runs once instead of twice.  Results are identical to two
-    separate {!loop_time} calls (both schedulers are deterministic). *)
+    separate {!loop_time} calls (both schedulers are deterministic).
+    Like {!schedule} it reads no option; [options] is accepted so a
+    caller can pass the record it prepared with. *)
 val list_and_new_times : ?options:options -> prepared -> Machine.t -> int * int
-
-val scheduler_name : scheduler -> string

@@ -307,7 +307,7 @@ let ablation_generic ~title ~variants benches =
              (fun acc l ->
                match Pipeline.prepare ~options l with
                | Pipeline.Doall _ -> acc
-               | Pipeline.Doacross _ as p -> acc + Pipeline.loop_time ~options p machine which)
+               | Pipeline.Doacross _ as p -> acc + Pipeline.loop_time p machine which)
              0 b.Suite.loops)
          cells)
   in
@@ -384,7 +384,7 @@ let ablation_order _benches =
       let t_un =
         time
           (Isched_core.Sync_sched.run
-             ~options:{ Isched_core.Sync_sched.order_paths = false; compact = true }
+             ~options:{ Isched_core.Sync_sched.order_paths = false }
              g machine)
       in
       let t_ord = time (Isched_core.Sync_sched.run g machine) in
@@ -445,7 +445,7 @@ let ablation_sync_elim benches =
           | Pipeline.Doall _ -> (sync, time)
           | Pipeline.Doacross { prog; _ } as p ->
             ( sync + count_sync_ops prog,
-              time + Pipeline.loop_time ~options p m Pipeline.New_scheduling ))
+              time + Pipeline.loop_time p m Pipeline.Sched_new ))
         (0, 0) loops
     in
     (run base, run elim)
@@ -504,10 +504,10 @@ let ablation_migration benches =
     ~title:"Ablation A3 - statement-level synchronization migration, 4-issue #FU=1"
     ~variants:
       [
-        ("list", (base, Pipeline.List_scheduling));
-        ("list+migr", (mig, Pipeline.List_scheduling));
-        ("new", (base, Pipeline.New_scheduling));
-        ("new+migr", (mig, Pipeline.New_scheduling));
+        ("list", (base, Pipeline.Sched_list));
+        ("list+migr", (mig, Pipeline.Sched_list));
+        ("new", (base, Pipeline.Sched_new));
+        ("new+migr", (mig, Pipeline.Sched_new));
       ]
     benches
 

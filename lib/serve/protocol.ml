@@ -1,10 +1,11 @@
 module Json = Isched_obs.Json
+module Pipeline = Isched_harness.Pipeline
 
 let max_frame = 1 lsl 20
 
 (* --- requests --- *)
 
-type scheduler = Sched_list | Sched_marker | Sched_new
+type scheduler = Pipeline.scheduler = Sched_list | Sched_marker | Sched_new
 
 type source = Text of string | Corpus_loop of string
 
@@ -83,13 +84,10 @@ type response =
    when absent, integers emitted as integral [Num]s.  The round-trip
    property (encode o decode o encode = encode) rides on this. *)
 
-let scheduler_name = function Sched_list -> "list" | Sched_marker -> "marker" | Sched_new -> "new"
+let scheduler_name = Pipeline.scheduler_tag
 
-let scheduler_of_name = function
-  | "list" -> Some Sched_list
-  | "marker" -> Some Sched_marker
-  | "new" -> Some Sched_new
-  | _ -> None
+let scheduler_of_name n =
+  List.find_opt (fun s -> Pipeline.scheduler_tag s = n) Pipeline.all_schedulers
 
 let num i = Json.Num (float_of_int i)
 

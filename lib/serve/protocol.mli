@@ -22,10 +22,16 @@ val max_frame : int
 
 (** {2 Requests} *)
 
-type scheduler = Sched_list | Sched_marker | Sched_new
+(** The pipeline's scheduler type, re-exported so wire code can name
+    the constructors as [Protocol.Sched_*]. *)
+type scheduler = Isched_harness.Pipeline.scheduler = Sched_list | Sched_marker | Sched_new
 
-(** [scheduler_name s] — the wire name: [list], [marker] or [new]. *)
+(** [scheduler_name s] — the wire name: [list], [marker] or [new]
+    ({!Isched_harness.Pipeline.scheduler_tag}). *)
 val scheduler_name : scheduler -> string
+
+(** [scheduler_of_name n] — the scheduler whose wire name is [n]. *)
+val scheduler_of_name : string -> scheduler option
 
 type source =
   | Text of string  (** mini-Fortran source; may contain several loops *)

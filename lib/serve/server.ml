@@ -1,6 +1,4 @@
 module Ast = Isched_frontend.Ast
-module Parser = Isched_frontend.Parser
-module Lexer = Isched_frontend.Lexer
 module Sema = Isched_frontend.Sema
 module Machine = Isched_ir.Machine
 module Schedule = Isched_core.Schedule
@@ -202,12 +200,7 @@ let finish_trace t tr ~id ~start_ns ~end_ns =
 
 (* --- request handling --- *)
 
-let pipeline_scheduler = function
-  | Protocol.Sched_list -> Pipeline.List_scheduling
-  | Protocol.Sched_marker -> Pipeline.Marker_scheduling
-  | Protocol.Sched_new -> Pipeline.New_scheduling
-
-let compute_loop ~options ~machine ~which (l : Ast.loop) : cached =
+let compute_loop ~options ~machine ~scheduler (l : Ast.loop) : cached =
   let reply, schedule =
     match Pipeline.prepare_uncached options l with
     | Pipeline.Doall _ ->
@@ -223,7 +216,7 @@ let compute_loop ~options ~machine ~which (l : Ast.loop) : cached =
         },
         None )
     | Pipeline.Doacross _ as p ->
-      let s = Pipeline.schedule ~options p machine which in
+      let s = Pipeline.schedule p machine scheduler in
       let timing = Isched_sim.Timing.run s in
       ( {
           Protocol.loop_name = l.Ast.name;
@@ -246,22 +239,14 @@ let resolve_loops source =
     | Some l -> Ok [ l ]
     | None -> Error (Protocol.Unknown_loop, Printf.sprintf "no corpus loop named %S" name))
   | Protocol.Text src -> (
-    try
-      let loops = Parser.parse ~name:"request" src in
-      List.iter Sema.check_exn loops;
-      match loops with
-      | [] -> Error (Protocol.Source_error, "source contains no loops")
-      | _ -> Ok loops
-    with
-    | Parser.Error { line; col; message } ->
-      Error (Protocol.Source_error, Printf.sprintf "parse error at %d:%d: %s" line col message)
-    | Lexer.Error { line; col; message } ->
-      Error (Protocol.Source_error, Printf.sprintf "lex error at %d:%d: %s" line col message)
-    | Invalid_argument m -> Error (Protocol.Source_error, m))
+    match Sema.parse_checked ~name:"request" src with
+    | Ok [] -> Error (Protocol.Source_error, "source contains no loops")
+    | Ok loops -> Ok loops
+    | Error m -> Error (Protocol.Source_error, m))
 
-let explain_payload t ~options ~which (l : Ast.loop) machine =
+let explain_payload t ~options ~scheduler (l : Ast.loop) machine =
   Mutex.protect t.explain_lock (fun () ->
-      match Isched_harness.Explain.build ~options ~which l machine with
+      match Isched_harness.Explain.build ~options ~which:scheduler l machine with
       | Error _ -> None
       | Ok ex -> (
         match Json.parse (Isched_harness.Explain.render_json ex) with
@@ -283,7 +268,6 @@ let handle_schedule t ?trace ~source ~scheduler ~issue ~nfu ~n_iters ~sync_elim 
     | Ok loops -> (
       let sync_elim = Option.value sync_elim ~default:t.config.sync_elim in
       let options = { Pipeline.default_options with n_iters; sync_elim } in
-      let which = pipeline_scheduler scheduler in
       (match trace with
       | None -> ()
       | Some tr ->
@@ -292,7 +276,8 @@ let handle_schedule t ?trace ~source ~scheduler ~issue ~nfu ~n_iters ~sync_elim 
         tr.tr_sync_elim <- sync_elim);
       let probe l key =
         match trace with
-        | None -> Cache.find_or_compute_v t.cache key (fun () -> compute_loop ~options ~machine ~which l)
+        | None ->
+          Cache.find_or_compute_v t.cache key (fun () -> compute_loop ~options ~machine ~scheduler l)
         | Some tr ->
           (* Probe time is the find_or_compute wall clock minus the
              compute closure's own time; a coalesced waiter's wait
@@ -302,7 +287,7 @@ let handle_schedule t ?trace ~source ~scheduler ~issue ~nfu ~n_iters ~sync_elim 
           let cached, verdict =
             Cache.find_or_compute_v t.cache key (fun () ->
                 let c0 = now_ns () in
-                let r = compute_loop ~options ~machine ~which l in
+                let r = compute_loop ~options ~machine ~scheduler l in
                 compute_ns := now_ns () - c0;
                 r)
           in
@@ -374,7 +359,7 @@ let handle_schedule t ?trace ~source ~scheduler ~issue ~nfu ~n_iters ~sync_elim 
                 else
                   {
                     c.reply with
-                    Protocol.explain_payload = explain_payload t ~options ~which l machine;
+                    Protocol.explain_payload = explain_payload t ~options ~scheduler l machine;
                   })
               served
           in

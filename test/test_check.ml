@@ -164,20 +164,36 @@ let test_oracle_accepts_valid () =
       | Error msgs -> Alcotest.failf "%s: %s" name (String.concat "; " msgs))
     (schedules_of fig1_src)
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
+  at 0
+
 let test_oracle_catches_stale_reads () =
   let p = compile fig1_src in
   let g0 = Dfg.build ~sync_arcs:false p in
   let s0 = Isched_core.List_sched.run g0 (Machine.make ~issue:4 ~nfu:1 ()) in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
-  in
   match Oracle.differential s0 with
   | Ok () -> Alcotest.fail "oracle accepted a stale-data schedule"
   | Error msgs ->
     Alcotest.(check bool) "stale reads named" true
       (List.exists (contains "stale read") msgs)
+
+let test_oracle_names_corrupted_cells () =
+  (* A stale-data hoist corrupts the final memory; the verdict names
+     the differing cells, not just the fact. *)
+  let g = Dfg.build (compile fig1_src) in
+  let s = Isched_core.List_sched.run g (Machine.make ~issue:4 ~nfu:1 ()) in
+  match Inject.inject Inject.Hoist_wait s with
+  | None -> Alcotest.fail "no stale-data hoist opportunity on Fig. 1"
+  | Some bad -> (
+    match Oracle.differential bad with
+    | Ok () -> Alcotest.fail "oracle accepted a stale-data hoist"
+    | Error msgs ->
+      Alcotest.(check bool) "memory difference reported" true
+        (List.exists (contains "final memory differs") msgs);
+      Alcotest.(check bool) "a corrupted cell of A named" true
+        (List.exists (fun m -> contains "  A[" m) msgs))
 
 let test_oracle_reports_deadlock () =
   (* A wait at distance 0 (which [Program.validate] rejects) issued
@@ -407,6 +423,8 @@ let suite =
     ("inject: campaign clean over corpus sample", `Slow, test_campaign_corpus_sample);
     ("oracle: accepts all schedulers' output on Fig. 1", `Quick, test_oracle_accepts_valid);
     ("oracle: catches stale reads", `Quick, test_oracle_catches_stale_reads);
+    ("oracle: names the corrupted cells of a stale-data hoist", `Quick,
+      test_oracle_names_corrupted_cells);
     ("pipeline: validate:true passes on valid schedules", `Quick, test_pipeline_validate_passes);
     ("oracle: reports a deadlock instead of raising", `Quick, test_oracle_reports_deadlock);
     ("readlog: compare matches the hash-table reference on the corpus", `Slow,

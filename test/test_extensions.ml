@@ -68,7 +68,7 @@ let test_marker_between_baseline_and_new () =
 let test_marker_value_correct () =
   let p = compile fig1 in
   let g = Dfg.build p in
-  match Isched_harness.Equivalence.check_schedule p (Marker_sched.run g m4) with
+  match Isched_check.Oracle.differential (Marker_sched.run g m4) with
   | Ok () -> ()
   | Error es -> Alcotest.failf "value mismatch: %s" (String.concat "; " es)
 
@@ -125,7 +125,7 @@ let test_unroll_compiles_and_runs () =
   let g = Dfg.build p in
   let s = Isched_core.Sync_sched.run g m4 in
   (match Schedule.validate s g with Ok () -> () | Error e -> Alcotest.failf "illegal: %s" e);
-  match Isched_harness.Equivalence.check_schedule p s with
+  match Isched_check.Oracle.differential s with
   | Ok () -> ()
   | Error es -> Alcotest.failf "value mismatch: %s" (String.concat "; " es)
 
@@ -173,7 +173,7 @@ let test_spill_parallel_correct () =
   List.iter
     (fun s ->
       (match Schedule.validate s g with Ok () -> () | Error e -> Alcotest.failf "illegal: %s" e);
-      match Isched_harness.Equivalence.check_schedule r.Spill.prog s with
+      match Isched_check.Oracle.differential s with
       | Ok () -> ()
       | Error es -> Alcotest.failf "value mismatch: %s" (String.concat "; " es))
     [ Isched_core.List_sched.run g m4; Isched_core.Sync_sched.run g m4 ]

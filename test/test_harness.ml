@@ -44,14 +44,14 @@ let test_pipeline_schedule_rejects_doall () =
   let p = Pipeline.prepare l in
   Alcotest.(check bool) "raises on doall" true
     (try
-       ignore (Pipeline.schedule p (Machine.make ~issue:4 ~nfu:1 ()) Pipeline.List_scheduling);
+       ignore (Pipeline.schedule p (Machine.make ~issue:4 ~nfu:1 ()) Pipeline.Sched_list);
        false
      with Invalid_argument _ -> true)
 
 let test_pipeline_loop_time_positive () =
   let l = Isched_frontend.Parser.parse_loop "DOACROSS I = 1, 10\n A[I] = A[I-1]\nENDDO" in
   let p = Pipeline.prepare l in
-  let t = Pipeline.loop_time p (Machine.make ~issue:4 ~nfu:1 ()) Pipeline.New_scheduling in
+  let t = Pipeline.loop_time p (Machine.make ~issue:4 ~nfu:1 ()) Pipeline.Sched_new in
   Alcotest.(check bool) "positive" true (t > 0)
 
 let test_table1_shape () =
@@ -270,13 +270,7 @@ let test_memo_key_covers_sync_elim () =
       ("sync_elim", { d with Pipeline.sync_elim = true });
       ("migrate", { d with Pipeline.migrate = true });
       ("n_iters", { d with Pipeline.n_iters = Some 7 });
-    ];
-  (* [order_paths] only steers the scheduler: it shares the line. *)
-  Pipeline.memo_clear ();
-  let base = Pipeline.prepare l in
-  let unordered = Pipeline.prepare ~options:{ d with Pipeline.order_paths = false } l in
-  Alcotest.(check bool) "order_paths shares the line" true (unordered == base);
-  check Alcotest.int "order_paths is not keyed" 1 (snd (Pipeline.memo_stats ()))
+    ]
 
 let test_ablation_sync_elim () =
   (* Pin the kernels row: fixed-cell accumulations and a guarded scalar

@@ -58,8 +58,8 @@ let prop_never_worse =
       match prepare l with
       | Pipeline.Doall _ -> true
       | Pipeline.Doacross _ as p ->
-        Pipeline.loop_time p m Pipeline.New_scheduling
-        <= Pipeline.loop_time p m Pipeline.List_scheduling)
+        Pipeline.loop_time p m Pipeline.Sched_new
+        <= Pipeline.loop_time p m Pipeline.Sched_list)
 
 let prop_sync_conditions =
   qtest "schedules: sends after sources, waits before sinks" gen_loop_machine (fun (l, m) ->
@@ -85,10 +85,10 @@ let prop_value_correct =
     gen_loop_machine (fun (l, m) ->
       match prepare l with
       | Pipeline.Doall _ -> true
-      | Pipeline.Doacross { prog; graph; _ } ->
+      | Pipeline.Doacross { graph; _ } ->
         List.for_all
           (fun s ->
-            match Isched_harness.Equivalence.check_schedule prog s with
+            match Isched_check.Oracle.differential s with
             | Ok () -> true
             | Error _ -> false)
           [ Isched_core.List_sched.run graph m; Isched_core.Sync_sched.run graph m ])
@@ -134,11 +134,11 @@ let prop_sync_elim_sound =
       let options = { Pipeline.default_options with Pipeline.sync_elim = true } in
       match Pipeline.prepare ~options l with
       | Pipeline.Doall _ -> true
-      | Pipeline.Doacross { prog; graph; _ } ->
+      | Pipeline.Doacross { graph; _ } ->
         let m = Machine.make ~issue:4 ~nfu:1 () in
         List.for_all
           (fun s ->
-            match Isched_harness.Equivalence.check_schedule prog s with
+            match Isched_check.Oracle.differential s with
             | Ok () -> true
             | Error _ -> false)
           [ Isched_core.List_sched.run graph m; Isched_core.Sync_sched.run graph m ])
@@ -148,18 +148,18 @@ let prop_migrate_sound =
       let options = { Pipeline.default_options with Pipeline.migrate = true } in
       match Pipeline.prepare ~options l with
       | Pipeline.Doall _ -> true
-      | Pipeline.Doacross { prog; graph; _ } ->
+      | Pipeline.Doacross { graph; _ } ->
         let m = Machine.make ~issue:2 ~nfu:1 () in
         List.for_all
           (fun s ->
-            match Isched_harness.Equivalence.check_schedule prog s with
+            match Isched_check.Oracle.differential s with
             | Ok () -> true
             | Error _ -> false)
           [ Isched_core.List_sched.run graph m; Isched_core.Sync_sched.run graph m ])
 
 let prop_restructure_preserves =
   qtest ~count:60 "restructure: semantics preserved on random loops" gen_loop (fun l ->
-      match Isched_harness.Equivalence.check_restructure l (Isched_transform.Restructure.run l) with
+      match Isched_check.Oracle.check_restructure l (Isched_transform.Restructure.run l) with
       | Ok () -> true
       | Error _ -> false)
 
@@ -190,10 +190,10 @@ let prop_unroll_pipeline_correct =
       let u = Isched_transform.Unroll.run l ~factor:2 in
       match prepare u with
       | Pipeline.Doall _ -> true
-      | Pipeline.Doacross { prog; graph; _ } ->
+      | Pipeline.Doacross { graph; _ } ->
         let m = Machine.make ~issue:4 ~nfu:1 () in
         (match
-           Isched_harness.Equivalence.check_schedule prog (Isched_core.Sync_sched.run graph m)
+           Isched_check.Oracle.differential (Isched_core.Sync_sched.run graph m)
          with
         | Ok () -> true
         | Error _ -> false))
@@ -211,7 +211,7 @@ let prop_spill_pipeline_correct =
           (fun s ->
             (match Schedule.validate s g' with Ok () -> true | Error _ -> false)
             &&
-            match Isched_harness.Equivalence.check_schedule p' s with
+            match Isched_check.Oracle.differential s with
             | Ok () -> true
             | Error _ -> false)
           [ Isched_core.List_sched.run g' m; Isched_core.Sync_sched.run g' m ])
@@ -262,7 +262,7 @@ let prop_stress_large =
       | [ l ] -> (
         match prepare l with
         | Pipeline.Doall _ -> true
-        | Pipeline.Doacross { prog; graph; _ } ->
+        | Pipeline.Doacross { graph; _ } ->
           let m = Machine.make ~issue:4 ~nfu:2 () in
           let s = Isched_core.Sync_sched.run graph m in
           (match Schedule.validate s graph with Ok () -> true | Error _ -> false)
@@ -272,7 +272,7 @@ let prop_stress_large =
           (* value-check one large case out of ten to bound the cost *)
           (seed mod 10 <> 0
           ||
-          match Isched_harness.Equivalence.check_schedule prog s with
+          match Isched_check.Oracle.differential s with
           | Ok () -> true
           | Error _ -> false))
       | _ -> false)
@@ -282,11 +282,11 @@ let prop_all_schedulers_correct =
     (fun (l, m) ->
       match prepare l with
       | Pipeline.Doall _ -> true
-      | Pipeline.Doacross { prog; _ } as p ->
+      | Pipeline.Doacross _ as p ->
         List.for_all
           (fun which ->
             let s = Pipeline.schedule p m which in
-            match Isched_harness.Equivalence.check_schedule prog s with
+            match Isched_check.Oracle.differential s with
             | Ok () -> true
             | Error _ -> false)
           Pipeline.all_schedulers)

@@ -121,8 +121,8 @@ let m4 = Isched_ir.Machine.make ~issue:4 ~nfu:1 ()
 
 let test_schedule_traced () =
   let prepared = Pipeline.prepare (fig1 ()) in
-  let untraced = Pipeline.schedule prepared m4 Pipeline.New_scheduling in
-  let traced, decisions = Pipeline.schedule_traced prepared m4 Pipeline.New_scheduling in
+  let untraced = Pipeline.schedule prepared m4 Pipeline.Sched_new in
+  let traced, decisions = Pipeline.schedule_traced prepared m4 Pipeline.Sched_new in
   check Alcotest.bool "identical schedule" true
     (untraced.Schedule.cycle_of = traced.Schedule.cycle_of);
   check Alcotest.bool "decisions recorded" true (decisions <> []);
@@ -191,7 +191,7 @@ let test_explain_fig1 () =
 
 let test_gantt_svg_has_provenance () =
   let prepared = Pipeline.prepare (fig1 ()) in
-  let s, decisions = Pipeline.schedule_traced prepared m4 Pipeline.New_scheduling in
+  let s, decisions = Pipeline.schedule_traced prepared m4 Pipeline.Sched_new in
   let svg = Isched_sim.Viz.gantt_svg ~decisions s in
   check Alcotest.bool "is svg" true (contains ~affix:"<svg" svg);
   check Alcotest.bool "has tooltips" true (contains ~affix:"<title>" svg);

@@ -26,8 +26,7 @@ let qtest ?(count = 200) name gen law =
 
 let gen_small_string = QCheck2.Gen.(string_size ~gen:printable (int_range 0 24))
 
-let gen_scheduler =
-  QCheck2.Gen.oneofl [ Protocol.Sched_list; Protocol.Sched_marker; Protocol.Sched_new ]
+let gen_scheduler = QCheck2.Gen.oneofl Pipeline.all_schedulers
 
 let gen_request =
   QCheck2.Gen.(
@@ -362,7 +361,7 @@ let fresh_answer (l : Ast.loop) =
   match Pipeline.prepare_uncached options l with
   | Pipeline.Doall _ -> Doall
   | Pipeline.Doacross _ as p ->
-    let s = Pipeline.schedule ~options p machine4 Pipeline.New_scheduling in
+    let s = Pipeline.schedule p machine4 Pipeline.Sched_new in
     let t = Isched_sim.Timing.run s in
     Sched
       ( s.Schedule.length,
@@ -451,6 +450,44 @@ let test_handler_errors () =
     (Server.handle server (Protocol.schedule_request (Protocol.Text "! only a comment\n")));
   expect_error "bad machine" Protocol.Bad_request
     (Server.handle server (Protocol.schedule_request ~issue:0 (Protocol.Corpus_loop "QCD.L1")))
+
+(* Malformed source text keeps its wire bytes: the frontend maps parse,
+   lex and semantic failures to one message each. *)
+let test_source_error_bytes () =
+  let server = Server.create (Server.default_config ~socket_path:"/tmp/unused.sock") in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected
+        (Protocol.encode_response
+           (Server.handle server (Protocol.schedule_request (Protocol.Text src)))))
+    [
+      ( "DOACROSS I = 1, 10\n A[I] = = 3\nENDDO\n",
+        {|{"status": "error", "code": "source_error", "message": "parse error at 2:9: expected an expression, found '='"}|}
+      );
+      ( "DOACROSS I = 1, 10\n A[I] = B[I] $ 3\nENDDO\n",
+        {|{"status": "error", "code": "source_error", "message": "lex error at 2:14: illegal character '$'"}|}
+      );
+      ( "DOACROSS I = 1, 10\n I = 3\nENDDO\n",
+        {|{"status": "error", "code": "source_error", "message": "request.L1: loop variable \"I\" is assigned in the body"}|}
+      );
+      ( "! only a comment\n",
+        {|{"status": "error", "code": "source_error", "message": "source contains no loops"}|} );
+    ]
+
+(* The one scheduler type: the protocol's names are the pipeline's tags,
+   which are also the CLI's --scheduler values. *)
+let test_scheduler_names () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Protocol.scheduler_name s ^ " round-trips")
+        true
+        (Protocol.scheduler_of_name (Protocol.scheduler_name s) = Some s))
+    Pipeline.all_schedulers;
+  Alcotest.(check (list string))
+    "the CLI's --scheduler values" [ "list"; "marker"; "new" ]
+    (List.map Protocol.scheduler_name Pipeline.all_schedulers);
+  Alcotest.(check bool) "unknown name" true (Protocol.scheduler_of_name "modulo" = None)
 
 (* --- the schedule-cache key covers sync_elim --- *)
 
@@ -1034,6 +1071,10 @@ let suite =
       test_served_equals_fresh;
     Alcotest.test_case "server: multi-loop source text" `Quick test_served_text_source;
     Alcotest.test_case "server: error mapping" `Quick test_handler_errors;
+    Alcotest.test_case "server: source errors keep their wire bytes" `Quick
+      test_source_error_bytes;
+    Alcotest.test_case "protocol: scheduler names are the pipeline's tags" `Quick
+      test_scheduler_names;
     Alcotest.test_case "server: cache key covers sync_elim" `Quick
       test_cache_key_covers_sync_elim;
     Alcotest.test_case "server: --validate catches a corrupted cache entry" `Quick

@@ -189,7 +189,7 @@ let test_elim_schedules_check () =
       (match Isched_check.Static.check ~graph:r.Elim.graph s with
       | Ok () -> ()
       | Error vs -> Alcotest.failf "static: %d violation(s)" (List.length vs));
-      match Isched_harness.Equivalence.check_schedule r.Elim.prog s with
+      match Isched_check.Oracle.differential s with
       | Ok () -> ()
       | Error es -> Alcotest.failf "oracle: %s" (String.concat "; " es))
     [ Isched_core.List_sched.run; Isched_core.Marker_sched.run; Isched_core.Sync_sched.run ]
@@ -267,7 +267,7 @@ let elim_random_values =
            let options = { Pipeline.default_options with Pipeline.sync_elim = true } in
            match Pipeline.prepare_uncached options l with
            | Pipeline.Doall _ -> true
-           | Pipeline.Doacross { prog; graph; _ } ->
+           | Pipeline.Doacross { graph; _ } ->
              let m = Isched_ir.Machine.make ~issue:4 ~nfu:1 () in
              let s =
                match which with
@@ -275,7 +275,7 @@ let elim_random_values =
                | 1 -> Isched_core.Marker_sched.run graph m
                | _ -> Isched_core.Sync_sched.run graph m
              in
-             Isched_harness.Equivalence.check_schedule prog s = Ok ())
+             Isched_check.Oracle.differential s = Ok ())
          | _ -> false))
 
 (* --- Migrate --- *)

@@ -6,7 +6,7 @@ module Doall = Isched_transform.Doall
 module Dep = Isched_deps.Dep
 module Ast = Isched_frontend.Ast
 module Parser = Isched_frontend.Parser
-module Equivalence = Isched_harness.Equivalence
+module Oracle = Isched_check.Oracle
 
 let check = Alcotest.check
 let parse = Parser.parse_loop
@@ -18,7 +18,7 @@ let has_action p r = List.exists p r.Restructure.actions
 let check_equiv src =
   let l = parse src in
   let r = Restructure.run l in
-  match Equivalence.check_restructure l r with
+  match Oracle.check_restructure l r with
   | Ok () -> ()
   | Error es -> Alcotest.failf "not equivalent: %s" (String.concat "; " es)
 
@@ -165,7 +165,7 @@ let restructure_equivalence =
          match Isched_perfect.Genloop.generate profile with
          | [ l ] -> (
            let l = { l with Ast.hi = l.Ast.lo + profile.n_iters - 1 } in
-           match Equivalence.check_restructure l (Restructure.run l) with
+           match Oracle.check_restructure l (Restructure.run l) with
            | Ok () -> true
            | Error _ -> false)
          | _ -> false))
