@@ -27,14 +27,18 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Malformed source is a user error: one line naming the file, exit 2. *)
+(* Malformed source, a source with no loop included, is a user error:
+   one line naming the file, exit 2. *)
 let load_loops path =
   let name = Filename.remove_extension (Filename.basename path) in
-  match Isched_frontend.Sema.parse_checked ~name (read_file path) with
-  | Ok loops -> loops
-  | Error m ->
+  let fail m =
     Printf.eprintf "%s: %s\n%!" path m;
     exit 2
+  in
+  match Isched_frontend.Sema.parse_checked ~name (read_file path) with
+  | Ok [] -> fail "source contains no loops"
+  | Ok loops -> loops
+  | Error m -> fail m
 
 (* --- common flags --- *)
 
@@ -274,6 +278,7 @@ let sim_cmd =
 
 let asm_cmd =
   let run () file restructure machine unroll spill_k k scheduled which =
+    let failed = ref false in
     List.iter
       (fun l ->
         let l = maybe_restructure restructure l in
@@ -289,8 +294,11 @@ let asm_cmd =
         in
         match result with
         | Ok text -> print_string text
-        | Error e -> Format.printf "error: %s@." e)
-      (load_loops file)
+        | Error e ->
+          failed := true;
+          Printf.eprintf "error: %s\n%!" e)
+      (load_loops file);
+    if !failed then exit 1
   in
   let k =
     Arg.(value & opt count_conv 16 & info [ "regs" ] ~docv:"K" ~doc:"Physical registers (default 16).")

@@ -4,7 +4,11 @@
     order, ignoring [Send]/[Wait] (sequential execution needs no
     synchronization).  Used to validate the code generator against
     {!Ast_interp} and as the reference execution (final memory and read
-    log) that any parallel schedule must reproduce. *)
+    log) that any parallel schedule must reproduce.
+
+    The executor is shared with the value simulator: {!bind} resolves
+    the {!Memory.slot} of every memory instruction once, and {!exec}
+    runs one instruction over a register file without allocating. *)
 
 module Program := Isched_ir.Program
 
@@ -17,11 +21,35 @@ val run : ?memory:Memory.t -> ?log:Readlog.t -> Program.t -> Memory.t
     {!Readlog.create}. *)
 val reads : Program.t -> int
 
-(** [exec_instr] — one instruction at iteration [ivar] over register
-    file [regs] (exposed so the simulator reuses the exact semantics).
-    Returns the updated register assignment implicitly (in [regs]); the
-    [store] callback commits memory writes, each with its writer tag,
-    so callers can buffer them. *)
+(** Buffered stores in flat columns: the writing body index (its slot
+    is {!slot}), the element index (0 for a scalar) and the value. *)
+type writes = {
+  mutable len : int;
+  mutable instr : int array;
+  mutable index : int array;
+  mutable value : float array;
+}
+
+val writes : unit -> writes
+
+(** A program bound to one memory. *)
+type bound
+
+(** [bind ?log ?writes mem p] resolves the slot of each of [p]'s memory
+    instructions in [mem].  Reads are recorded into [log] when given;
+    stores are appended to [writes] when given, else go to [mem]. *)
+val bind : ?log:Readlog.t -> ?writes:writes -> Memory.t -> Program.t -> bound
+
+(** [slot b i] — the slot body instruction [i] accesses. *)
+val slot : bound -> int -> Memory.slot
+
+(** [exec b ~regs ~frame ~ivar i] — body instruction [i] at iteration
+    [ivar]; register [r] is [regs.(frame + r)].  Allocates nothing once
+    the log and the buffer have room. *)
+val exec : bound -> regs:float array -> frame:int -> ivar:int -> int -> unit
+
+(** [exec_instr] — {!exec} by name, for callers that bind no program:
+    the [store] callback receives each write with its writer tag. *)
 val exec_instr :
   Memory.t ->
   ?log:Readlog.t ->

@@ -6,14 +6,14 @@ type entry = {
   observed : Memory.tag;
 }
 
-(* A read's (iteration, instruction) and a writer tag pack into one int:
-   the iteration above [instr_bits] bits of instruction.  Iterations stay
-   inside (-2^37, 2^37), so no packed value reaches [initial] (the tag
-   [Initial]) or [absent] (no read in the dense index). *)
+(* A read's (iteration, instruction) packs into one int: the iteration
+   above [instr_bits] bits of instruction.  Iterations stay inside
+   (-2^37, 2^37), so no key reaches [absent] (no read in the dense
+   index).  Observed writers are {!Memory}'s packed tags, which never
+   reach [absent] either. *)
 let instr_bits = 24
 let instr_mask = (1 lsl instr_bits) - 1
 let iter_limit = 1 lsl 37
-let initial = min_int
 let absent = max_int
 let scalar = min_int
 
@@ -24,13 +24,7 @@ let pack ~iter ~instr =
          instr);
   (iter lsl instr_bits) lor instr
 
-let pack_tag : Memory.tag -> int = function
-  | Memory.Initial -> initial
-  | Memory.Written { iter; instr } -> pack ~iter ~instr
-
-let unpack_tag v =
-  if v = initial then Memory.Initial
-  else Memory.Written { iter = v asr instr_bits; instr = v land instr_mask }
+let unpack_tag = Memory.unpack_tag
 
 (* A column per instruction the reference reads: [col.(instr)] is its
    column, [-1] for one it never reads, and
@@ -85,8 +79,8 @@ let grow t =
   t.elems <- widen t.elems 0;
   t.cells <- widen t.cells ""
 
-let record t ~iter ~instr ~cell ~index ~observed =
-  let key = pack ~iter ~instr and tag = pack_tag observed in
+let record_tag t ~iter ~instr ~cell ~index ~tag =
+  let key = pack ~iter ~instr and tag = if tag = Memory.never then Memory.initial else tag in
   if t.len = Array.length t.keys then grow t;
   let k = t.len in
   t.keys.(k) <- key;
@@ -94,6 +88,9 @@ let record t ~iter ~instr ~cell ~index ~observed =
   t.elems.(k) <- index;
   t.cells.(k) <- cell;
   t.len <- k + 1
+
+let record t ~iter ~instr ~cell ~index ~observed =
+  record_tag t ~iter ~instr ~cell ~index ~tag:(Memory.pack_tag observed)
 
 let add t (e : entry) =
   let index =

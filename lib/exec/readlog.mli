@@ -30,12 +30,17 @@ val scalar : int
 
 (** [record t ~iter ~instr ~cell ~index ~observed] appends one read;
     [index] is the element index, or {!scalar}.  Raises
-    [Invalid_argument] when [instr] or the instruction of a [Written]
-    tag is outside [[0, 2^24)], or [iter] or the tag's iteration is
-    outside [(-2^37, 2^37)]: such a read cannot be packed without
-    aliasing another. *)
+    [Invalid_argument] when [instr] is outside [[0, 2^24)], the
+    instruction of a [Written] tag outside [[-1, 2^24)], or [iter] or
+    the tag's iteration outside [(-2^37, 2^37)]: such a read cannot be
+    packed without aliasing another. *)
 val record :
   t -> iter:int -> instr:int -> cell:string -> index:int -> observed:Memory.tag -> unit
+
+(** [record_tag] is {!record} with the observed writer as the store
+    packs it ({!Memory.tags}; {!Memory.never} is read as [Initial]), so
+    the interpreters log a read without building a tag. *)
+val record_tag : t -> iter:int -> instr:int -> cell:string -> index:int -> tag:int -> unit
 
 (** [add t e] is {!record} of [e]'s fields, with the same range checks
     ([Some min_int] is reserved as well). *)

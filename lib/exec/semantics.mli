@@ -24,8 +24,39 @@ val select : float -> float -> float -> float
     bounded (so long chains do not overflow instantly). *)
 val init_value : string -> int -> float
 
+(** [init_into key name idx dst pos] — [dst.(pos) <- init_value name
+    idx] without allocating; a [key] is not shared across domains. *)
+type key
+
+val key : unit -> key
+val init_into : key -> string -> int -> float array -> int -> unit
+
 (** [init_scalar name] — deterministic initial value of a scalar. *)
 val init_scalar : string -> float
 
 (** [eq v1 v2] — bitwise equality (NaN-safe). *)
 val eq : float -> float -> bool
+
+(** {2 Over a register file}
+
+    The interpreters' hot path: register [r] is [regs.(frame + r)] and
+    [ivar] the iteration's index value.  These read their operands
+    themselves, so no float crosses a call and nothing is allocated,
+    where {!binop} boxes its arguments and result. *)
+
+(** [exec_bin regs ~frame ~ivar op ~dst a b] — [dst := binop op a b]. *)
+val exec_bin :
+  float array -> frame:int -> ivar:int -> Isched_ir.Instr.binop -> dst:int -> Isched_ir.Operand.t ->
+  Isched_ir.Operand.t -> unit
+
+(** [dst := select cond if_true if_false]. *)
+val exec_select :
+  float array -> frame:int -> ivar:int -> dst:int -> Isched_ir.Operand.t -> Isched_ir.Operand.t ->
+  Isched_ir.Operand.t -> unit
+
+(** The element index a byte-offset operand names: [to_int addr asr 2]. *)
+val address : float array -> frame:int -> ivar:int -> Isched_ir.Operand.t -> int
+
+(** [copy_operand regs ~frame ~ivar src dst pos] — [dst.(pos) <- src]. *)
+val copy_operand :
+  float array -> frame:int -> ivar:int -> Isched_ir.Operand.t -> float array -> int -> unit

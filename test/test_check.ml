@@ -393,6 +393,53 @@ let test_program_never_written () =
         (p.Program.body == body && p.Program.signals == signals && p.Program.waits == waits))
     (corpus_programs ())
 
+(* --- the oracle's own cost --- *)
+
+(* A stride of 10^5 touches 200 cells spread over 10^7 indices: the
+   store keeps them without a window spanning that range, so the major
+   heap grows by far less than one column of it would take. *)
+let test_oracle_sparse_subscript () =
+  let p =
+    compile
+      "DOACROSS I = 1, 100\n\
+      \ S1: A[100000*I] = B[100000*I-100000] + E[I]\n\
+      \ S2: B[100000*I] = A[100000*I] * 2\n\
+       ENDDO"
+  in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let runs = List.map (fun (w, s) -> (w, Value.run s, Oracle.differential s)) (three_schedules (Dfg.build p)) in
+  let grown = ((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8) in
+  List.iter
+    (fun (w, (v : Value.result), verdict) ->
+      check Alcotest.int (w ^ ": A and B written") 200
+        (List.length (Isched_exec.Memory.written_cells v.Value.memory));
+      match verdict with Ok () -> () | Error ms -> Alcotest.failf "%s: %s" w (String.concat "; " ms))
+    runs;
+  if grown >= 4 lsl 20 then Alcotest.failf "the major heap grew by %d bytes" grown
+
+(* Minor words per executed instruction over the check corpus (list,
+   marker and new schedules on 4-issue #FU=1), for the value simulator
+   and for the sequential reference. *)
+let test_oracle_allocation () =
+  let programs = corpus_programs () in
+  let schedules = List.concat_map (fun (_, g) -> List.map snd (three_schedules g)) programs in
+  let executed (p : Program.t) = p.Program.n_iters * Array.length p.Program.body in
+  let per_instruction what progs f =
+    let n = List.fold_left (fun n p -> n + executed p) 0 progs in
+    let w0 = Gc.minor_words () in
+    f ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    if words > 4. then Alcotest.failf "%s: %.2f minor words per executed instruction" what words
+  in
+  per_instruction "Value.run"
+    (List.map (fun (s : Schedule.t) -> s.Schedule.prog) schedules)
+    (fun () -> List.iter (fun s -> ignore (Value.run s)) schedules);
+  (* Another program first, so that every reference below is computed. *)
+  ignore (Oracle.reference (compile "DO I = 1, 2\n A[I] = 1\nENDDO"));
+  per_instruction "Oracle.reference" (List.map fst programs) (fun () ->
+      List.iter (fun (p, _) -> ignore (Oracle.reference p)) programs)
+
 (* --- pipeline hook --- *)
 
 let test_pipeline_validate_passes () =
@@ -433,4 +480,7 @@ let suite =
     ("oracle: reference memo keys on identity", `Quick, test_reference_memo_identity);
     ("oracle: reference memo from two domains", `Quick, test_reference_memo_two_domains);
     ("oracle: programs are never written after codegen", `Slow, test_program_never_written);
+    ("oracle: a sparse subscript stays in bounded memory", `Quick, test_oracle_sparse_subscript);
+    ("oracle: allocation per executed instruction on the check corpus", `Slow,
+      test_oracle_allocation);
   ]

@@ -162,6 +162,78 @@ let test_memory_read () =
   Alcotest.(check bool) "tags differ by instr" false
     (Memory.tag_equal tag (Memory.Written { iter = 4; instr = 3 }))
 
+(* The slot-addressed store against the hashtable store it replaced
+   ([Memory_ref]): random writes, reads and slot touches on two memories,
+   then every by-name query and the comparison of the two.  Scalar and
+   array cells share names; indices are negative, near each other or
+   10^6 apart (past any window, so they spill); tags include a written
+   [Initial] and the AST interpreter's [instr = -1]. *)
+let prop_memory_matches_reference =
+  let module R = Memory_ref in
+  let open QCheck2.Gen in
+  let index =
+    oneof
+      [ int_range (-5) 40; map (fun k -> k * 1_000_000) (int_range (-3) 3);
+        int_range (-(1 lsl 30)) (1 lsl 30) ]
+  in
+  let tag =
+    oneof
+      [ return Memory.Initial;
+        map2 (fun iter instr -> Memory.Written { iter; instr }) (int_range (-3) 3) (int_range (-1) 5) ]
+  in
+  let value = oneofl [ 0.; -0.; 1.; -3.; Float.nan; Int64.float_of_bits 0x7FF800000000000AL ] in
+  (* kind: 0 write, 1 query, 2 touch the cell through its slot *)
+  let op = tup6 (int_range 0 2) (int_range 0 2) bool (oneofl [ "A"; "B" ]) index (pair value tag) in
+  let print (kind, side, scalar, name, idx, (v, t)) =
+    Printf.sprintf "%s %s %s%s %h %s" [| "write"; "query"; "touch" |].(kind)
+      [| "both"; "left"; "right" |].(side) name
+      (if scalar then "" else Printf.sprintf "[%d]" idx)
+      v (Format.asprintf "%a" Memory.pp_tag t)
+  in
+  let same_cell (c : Memory.cell) (r : R.cell) = Semantics.eq c.value r.value && Memory.tag_equal c.tag r.tag in
+  let same_list eq a b = List.length a = List.length b && List.for_all2 eq a b in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"memory: slot store matches the hashtable reference"
+       ~print:QCheck2.Print.(list print)
+       (list_size (int_range 0 40) op)
+       (fun ops ->
+         let a = Memory.create () and b = Memory.create () and ra = R.create () and rb = R.create () in
+         let ok = ref true in
+         List.iter
+           (fun (kind, side, scalar, name, idx, (v, t)) ->
+             List.iter
+               (fun (m, r) ->
+                 match kind with
+                 | 0 ->
+                   if scalar then (Memory.set_scalar m name v t; R.set_scalar r name v t)
+                   else (Memory.set m name idx v t; R.set r name idx v t)
+                 | 1 ->
+                   ok :=
+                     !ok
+                     && (if scalar then same_cell (Memory.read_scalar m name) (R.read_scalar r name)
+                         && Semantics.eq (Memory.get_scalar m name) (R.get_scalar r name)
+                         && Memory.tag_equal (Memory.scalar_tag_of m name) (R.scalar_tag_of r name)
+                        else same_cell (Memory.read m name idx) (R.read r name idx)
+                         && Semantics.eq (Memory.get m name idx) (R.get r name idx)
+                         && Memory.tag_equal (Memory.tag_of m name idx) (R.tag_of r name idx))
+                 | _ ->
+                   ignore
+                     (if scalar then Memory.locate (Memory.scalar_slot m name) 0
+                      else Memory.locate (Memory.array_slot m name) idx))
+               (match side with 0 -> [ (a, ra); (b, rb) ] | 1 -> [ (a, ra) ] | _ -> [ (b, rb) ]))
+           ops;
+         let eq_cell ((k, v) : _ * float) (k', v') = k = k' && Semantics.eq v v' in
+         !ok
+         && List.for_all
+              (fun (m, r) ->
+                same_list eq_cell (Memory.written_cells m) (R.written_cells r)
+                && same_list eq_cell (Memory.written_scalars m) (R.written_scalars r))
+              [ (a, ra); (b, rb) ]
+         && Memory.equal a b = R.equal ra rb
+         && Memory.equal b a = R.equal rb ra
+         && Memory.diff a b = R.diff ra rb
+         && Memory.diff b a = R.diff rb ra))
+
 (* --- interpreters --- *)
 
 let test_ast_interp_simple () =
@@ -389,4 +461,5 @@ let suite =
     prop_memory_equal_is_empty_diff;
     ("memory: equality corner cases", `Quick, test_memory_equal_cases);
     ("memory: read is value and tag", `Quick, test_memory_read);
+    prop_memory_matches_reference;
   ]
