@@ -20,6 +20,10 @@ let () =
       Isched_perfect.Profile.all
   in
   let sched_new = Isched_core.Sync_sched.run graph m4 in
+  (* A 512-byte generated loop, near the scale-20 corpus mean of 506. *)
+  let served_text =
+    Isched_frontend.Ast.loop_to_string (Option.get (Isched_perfect.Suite.find_loop "ADM.G2"))
+  in
   let tests =
     [
       Test.make ~name:"tables-1-2-3-one-config"
@@ -31,6 +35,9 @@ let () =
         (Staged.stage (fun () -> ignore (Isched_core.List_sched.run graph m4)));
       Test.make ~name:"fig4-new-scheduling"
         (Staged.stage (fun () -> ignore (Isched_core.Sync_sched.run graph m4)));
+      Test.make ~name:"stage-frontend-parse"
+        (Staged.stage (fun () ->
+             ignore (Isched_frontend.Sema.parse_checked ~name:"request" served_text)));
       Test.make ~name:"stage-dependence-analysis"
         (Staged.stage (fun () -> ignore (Isched_deps.Dep.analyze fig1)));
       Test.make ~name:"stage-codegen"

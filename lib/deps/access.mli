@@ -23,11 +23,8 @@ type t = {
   is_write : bool;
 }
 
-(** [of_stmt ~stmt s] lists the accesses of statement [s] in evaluation
-    order. *)
-val of_stmt : stmt:int -> Ast.stmt -> t list
-
-(** [of_loop l] concatenates {!of_stmt} over the body. *)
+(** [of_loop l] lists the accesses of each statement in turn, each in
+    evaluation order. *)
 val of_loop : Ast.loop -> t list
 
 (** [writes l] / [reads l] filter {!of_loop}. *)

@@ -65,7 +65,6 @@ type t = {
   memo : memo;
 }
 
-let[@inline] succ_deg g i = g.succ_off.(i + 1) - g.succ_off.(i)
 let[@inline] pred_deg g i = g.pred_off.(i + 1) - g.pred_off.(i)
 
 let[@inline] iter_succs g i f =
@@ -671,10 +670,6 @@ let fu_codes g =
     in
     g.memo.fuc <- Some a;
     a
-
-let topo_order g =
-  (* All arcs are forward by construction. *)
-  Array.init g.n (fun i -> i)
 
 let pp_dot ppf g =
   Format.fprintf ppf "digraph dfg {@.";

@@ -86,9 +86,7 @@ val arc_latency : int -> int
 (** [arc_kind packed] — the arc's kind. *)
 val arc_kind : int -> arc_kind
 
-(** [succ_deg g i] / [pred_deg g i] — out-/in-degree of node [i]. *)
-val succ_deg : t -> int -> int
-
+(** [pred_deg g i] — the in-degree of node [i]. *)
 val pred_deg : t -> int -> int
 
 (** [iter_succs g i f] applies [f] to each packed outgoing arc of [i],
@@ -202,11 +200,6 @@ val priority_order : t -> int array
     form the resource tracker's [_code] entry points consume.  Memoized
     on the graph; callers must not mutate the result. *)
 val fu_codes : t -> int array
-
-(** [topo_order g] — a topological order of the nodes (original index as
-    tie-break).  Raises [Invalid_argument] if the graph has a cycle
-    (which would indicate a builder bug). *)
-val topo_order : t -> int array
 
 (** [pp_dot ppf g] renders the graph in Graphviz dot syntax, with the
     paper's triangle shapes for sync nodes. *)

@@ -40,10 +40,12 @@ type loop = {
   body : stmt list;
   name : string;  (** loop identifier for reports *)
   digest : int;
-      (** deep structural hash of the other fields, fixed at
-          construction; memo tables keyed on loops hash on this instead
-          of re-walking the AST.  Maintained by the constructors below:
-          structurally equal loops carry equal digests. *)
+      (** structural hash of the other fields, fixed at construction;
+          memo tables keyed on loops hash on this instead of re-walking
+          the AST.  It covers the header and the first statements only
+          (loops differing further on may collide).  Maintained by the
+          constructors below: structurally equal loops carry equal
+          digests. *)
 }
 
 (** [make_loop] computes the digest; use it (or [with_body]/[with_name])
@@ -61,16 +63,13 @@ val with_name : loop -> string -> loop
 (** [iterations l] is [hi - lo + 1] (0 when empty). *)
 val iterations : loop -> int
 
-(** Structural traversals over expressions. *)
-val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
-
-(** [arrays_read e] / [scalars_read e] collect reference names, with
-    duplicates, in left-to-right order. *)
-val arrays_read : expr -> (string * expr) list
-
+(** [scalars_read e] collects scalar reference names, with duplicates,
+    in left-to-right order. *)
 val scalars_read : expr -> string list
 
-(** [stmt_arrays_read s] includes the guard's reads. *)
+(** [stmt_arrays_read s] collects the array references [s] reads (name
+    and subscript), guard first, with duplicates, in left-to-right
+    order. *)
 val stmt_arrays_read : stmt -> (string * expr) list
 
 val stmt_scalars_read : stmt -> string list

@@ -1,4 +1,4 @@
-(** Hand-written lexer for the mini-Fortran language.
+(** Hand-written pull lexer for the mini-Fortran language.
 
     Newlines are significant (they terminate statements); ['!'] and ['#']
     start comments that run to the end of the line.  Array subscripts may
@@ -35,12 +35,30 @@ type token =
 
 exception Error of { line : int; col : int; message : string }
 
-(** A token together with its source position (1-based). *)
+(** A cursor over one source: the current token, its 1-based position,
+    and the scan position just past it.  A run of newlines and comment
+    lines is one [TNewline]; a non-empty stream ends with [TNewline],
+    then [TEof] for ever.  {!create} and {!advance} raise {!Error} on an
+    illegal character or an integer above [max_int]. *)
+type t = private {
+  src : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable col : int;
+  mutable tok : token;
+  mutable tok_line : int;
+  mutable tok_col : int;
+}
+
+val create : string -> t
+val advance : t -> unit
+
+(** [colon_follows c] — the token after the current one is [TColon]. *)
+val colon_follows : t -> bool
+
 type spanned = { tok : token; line : int; col : int }
 
-(** [tokenize src] lexes the whole input.  Consecutive newlines are
-    collapsed; the result always ends with a single [TEof].
-    Raises {!Error} on an illegal character or malformed number. *)
+(** [tokenize src] is the whole stream of [src], [TEof] included. *)
 val tokenize : string -> spanned list
 
 (** [token_name t] is a short description for diagnostics. *)

@@ -1,206 +1,186 @@
+open Lexer
+
+(* Defined after the [open], so [Error] is the parser's own exception. *)
 exception Error of { line : int; col : int; message : string }
 
-type state = { mutable toks : Lexer.spanned list; mutable index_var : string option }
+(* A parse error at a position.  The rest of the input is lexed first, so
+   a lex error anywhere in the source is reported in preference to a
+   parse error before it. *)
+let err_at (c : Lexer.t) line col fmt =
+  Printf.ksprintf
+    (fun message ->
+      while c.tok != TEof do
+        advance c
+      done;
+      raise (Error { line; col; message }))
+    fmt
 
-let err (sp : Lexer.spanned) fmt =
-  Printf.ksprintf (fun message -> raise (Error { line = sp.line; col = sp.col; message })) fmt
+let err (c : Lexer.t) fmt = err_at c c.tok_line c.tok_col fmt
+let unexpected (c : Lexer.t) what = err c "expected %s, found %s" what (token_name c.tok)
 
-let peek st = match st.toks with [] -> assert false | sp :: _ -> sp
+(* [tok] is a constant constructor, so physical equality is equality. *)
+let expect (c : Lexer.t) tok what = if c.tok == tok then advance c else unexpected c what
 
-let advance st = match st.toks with [] -> assert false | _ :: rest -> st.toks <- rest
+let ident (c : Lexer.t) what =
+  match c.tok with
+  | TIdent s ->
+    advance c;
+    s
+  | _ -> unexpected c what
 
-let next st =
-  let sp = peek st in
-  advance st;
-  sp
+let int_lit (c : Lexer.t) what =
+  let neg = c.tok == TMinus in
+  if neg then advance c;
+  match c.tok with
+  | TInt i ->
+    advance c;
+    if neg then -i else i
+  | _ -> unexpected c what
 
-let expect st tok what =
-  let sp = next st in
-  if sp.tok <> tok then err sp "expected %s, found %s" what (Lexer.token_name sp.tok)
+(* --- expressions; [ix] is the loop variable's name --- *)
 
-let skip_newlines st =
-  while (peek st).tok = Lexer.TNewline do
-    advance st
-  done
+let rec parse_expr c ix = parse_expr_rest c ix (parse_term c ix)
 
-let ident st what =
-  let sp = next st in
-  match sp.tok with
-  | Lexer.TIdent s -> s
-  | t -> err sp "expected %s, found %s" what (Lexer.token_name t)
-
-let int_lit st what =
-  let sp = next st in
-  match sp.tok with
-  | Lexer.TInt i -> i
-  | Lexer.TMinus -> (
-    let sp2 = next st in
-    match sp2.tok with
-    | Lexer.TInt i -> -i
-    | t -> err sp2 "expected %s, found %s" what (Lexer.token_name t))
-  | t -> err sp "expected %s, found %s" what (Lexer.token_name t)
-
-(* --- expressions --- *)
-
-let rec parse_expr st =
-  let lhs = parse_term st in
-  parse_expr_rest st lhs
-
-and parse_expr_rest st lhs =
-  match (peek st).tok with
-  | Lexer.TPlus ->
-    advance st;
-    let rhs = parse_term st in
-    parse_expr_rest st (Ast.Bin (Ast.Add, lhs, rhs))
-  | Lexer.TMinus ->
-    advance st;
-    let rhs = parse_term st in
-    parse_expr_rest st (Ast.Bin (Ast.Sub, lhs, rhs))
+and parse_expr_rest (c : Lexer.t) ix lhs =
+  match c.tok with
+  | (TPlus | TMinus) as t ->
+    advance c;
+    let op = if t == TPlus then Ast.Add else Ast.Sub in
+    parse_expr_rest c ix (Ast.Bin (op, lhs, parse_term c ix))
   | _ -> lhs
 
-and parse_term st =
-  let lhs = parse_factor st in
-  parse_term_rest st lhs
+and parse_term c ix = parse_term_rest c ix (parse_factor c ix)
 
-and parse_term_rest st lhs =
-  match (peek st).tok with
-  | Lexer.TStar ->
-    advance st;
-    let rhs = parse_factor st in
-    parse_term_rest st (Ast.Bin (Ast.Mul, lhs, rhs))
-  | Lexer.TSlash ->
-    advance st;
-    let rhs = parse_factor st in
-    parse_term_rest st (Ast.Bin (Ast.Div, lhs, rhs))
+and parse_term_rest (c : Lexer.t) ix lhs =
+  match c.tok with
+  | (TStar | TSlash) as t ->
+    advance c;
+    let op = if t == TStar then Ast.Mul else Ast.Div in
+    parse_term_rest c ix (Ast.Bin (op, lhs, parse_factor c ix))
   | _ -> lhs
 
-and parse_factor st =
-  let sp = next st in
-  match sp.tok with
-  | Lexer.TInt i -> Ast.Num (float_of_int i)
-  | Lexer.TFloat f -> Ast.Num f
-  | Lexer.TMinus -> Ast.Neg (parse_factor st)
-  | Lexer.TLparen ->
-    let e = parse_expr st in
-    expect st Lexer.TRparen "')'";
-    e
-  | Lexer.TIdent name -> (
-    match (peek st).tok with
-    | Lexer.TLbrack ->
-      advance st;
-      let sub = parse_expr st in
-      expect st Lexer.TRbrack "']'";
-      Ast.Aref (name, sub)
-    | Lexer.TLparen ->
-      advance st;
-      let sub = parse_expr st in
-      expect st Lexer.TRparen "')'";
-      Ast.Aref (name, sub)
-    | _ -> if st.index_var = Some name then Ast.Ivar else Ast.Scalar name)
-  | t -> err sp "expected an expression, found %s" (Lexer.token_name t)
+and parse_factor (c : Lexer.t) ix =
+  match c.tok with
+  | TInt i ->
+    advance c;
+    Ast.Num (float_of_int i)
+  | TFloat f ->
+    advance c;
+    Ast.Num f
+  | TMinus ->
+    advance c;
+    Ast.Neg (parse_factor c ix)
+  | TLparen -> subscript c ix TRparen "')'"
+  | TIdent name -> (
+    advance c;
+    match c.tok with
+    | TLbrack -> Ast.Aref (name, subscript c ix TRbrack "']'")
+    | TLparen -> Ast.Aref (name, subscript c ix TRparen "')'")
+    | _ -> if String.equal name ix then Ast.Ivar else Ast.Scalar name)
+  | t -> err c "expected an expression, found %s" (token_name t)
 
-let parse_relop st =
-  let sp = next st in
-  match sp.tok with
-  | Lexer.TLt -> Ast.Lt
-  | Lexer.TLe -> Ast.Le
-  | Lexer.TGt -> Ast.Gt
-  | Lexer.TGe -> Ast.Ge
-  | Lexer.TEq -> Ast.Eq
-  | Lexer.TNe -> Ast.Ne
-  | t -> err sp "expected a comparison operator, found %s" (Lexer.token_name t)
+(* [c] is on an opening bracket: the expression up to [close]. *)
+and subscript c ix close what =
+  advance c;
+  let e = parse_expr c ix in
+  expect c close what;
+  e
+
+let parse_relop (c : Lexer.t) =
+  let rel =
+    match c.tok with
+    | TLt -> Ast.Lt
+    | TLe -> Ast.Le
+    | TGt -> Ast.Gt
+    | TGe -> Ast.Ge
+    | TEq -> Ast.Eq
+    | TNe -> Ast.Ne
+    | t -> err c "expected a comparison operator, found %s" (token_name t)
+  in
+  advance c;
+  rel
 
 (* --- statements --- *)
 
-let parse_lhs st =
-  let sp = peek st in
-  let name = ident st "an assignment target" in
-  match (peek st).tok with
-  | Lexer.TLbrack ->
-    advance st;
-    let sub = parse_expr st in
-    expect st Lexer.TRbrack "']'";
-    Ast.Larr (name, sub)
-  | Lexer.TLparen ->
-    advance st;
-    let sub = parse_expr st in
-    expect st Lexer.TRparen "')'";
-    Ast.Larr (name, sub)
-  | Lexer.TAssign -> Ast.Lscalar name
-  | t -> err sp "expected '[', '(' or '=' after %S, found %s" name (Lexer.token_name t)
+let parse_lhs (c : Lexer.t) ix =
+  let line = c.tok_line and col = c.tok_col in
+  let name = ident c "an assignment target" in
+  match c.tok with
+  | TLbrack -> Ast.Larr (name, subscript c ix TRbrack "']'")
+  | TLparen -> Ast.Larr (name, subscript c ix TRparen "')'")
+  | TAssign -> Ast.Lscalar name
+  | t -> err_at c line col "expected '[', '(' or '=' after %S, found %s" name (token_name t)
 
-let parse_stmt st ~default_label =
-  (* Optional label: IDENT ':' *)
+let parse_stmt (c : Lexer.t) ix ~count =
   let label =
-    match st.toks with
-    | { tok = Lexer.TIdent l; _ } :: { tok = Lexer.TColon; _ } :: rest ->
-      st.toks <- rest;
+    match c.tok with
+    | TIdent l when colon_follows c ->
+      advance c;
+      advance c;
       l
-    | _ -> default_label
+    | _ -> "S" ^ string_of_int count
   in
   let guard =
-    if (peek st).tok = Lexer.TIf then begin
-      advance st;
-      expect st Lexer.TLparen "'(' after IF";
-      let lhs = parse_expr st in
-      let rel = parse_relop st in
-      let rhs = parse_expr st in
-      expect st Lexer.TRparen "')' closing the IF condition";
+    match c.tok with
+    | TIf ->
+      advance c;
+      expect c TLparen "'(' after IF";
+      let lhs = parse_expr c ix in
+      let rel = parse_relop c in
+      let rhs = parse_expr c ix in
+      expect c TRparen "')' closing the IF condition";
       Some { Ast.rel; lhs; rhs }
-    end
-    else None
+    | _ -> None
   in
-  let lhs = parse_lhs st in
-  expect st Lexer.TAssign "'='";
-  let rhs = parse_expr st in
+  let lhs = parse_lhs c ix in
+  expect c TAssign "'='";
+  let rhs = parse_expr c ix in
   { Ast.label; guard; lhs; rhs }
 
-let parse_loop_at st ~name =
-  let sp = peek st in
+(* Statements up to and including ENDDO.  The lexer collapses blank
+   lines, so one TNewline ends a statement. *)
+let rec parse_body (c : Lexer.t) ix acc ~count =
+  match c.tok with
+  | TEnddo ->
+    advance c;
+    List.rev acc
+  | _ ->
+    let s = parse_stmt c ix ~count in
+    (match c.tok with
+    | TNewline -> advance c
+    | TEnddo -> ()
+    | t -> err c "expected a newline or ENDDO, found %s" (token_name t));
+    parse_body c ix (s :: acc) ~count:(count + 1)
+
+let parse_loop_at (c : Lexer.t) ~name =
   let kind =
-    match sp.tok with
-    | Lexer.TDo -> Ast.Do
-    | Lexer.TDoacross -> Ast.Doacross
-    | t -> err sp "expected DO or DOACROSS, found %s" (Lexer.token_name t)
+    match c.tok with
+    | TDo -> Ast.Do
+    | TDoacross -> Ast.Doacross
+    | t -> err c "expected DO or DOACROSS, found %s" (token_name t)
   in
-  advance st;
-  let index = ident st "the loop variable" in
-  expect st Lexer.TAssign "'='";
-  let lo = int_lit st "the lower bound" in
-  expect st Lexer.TComma "','";
-  let hi = int_lit st "the upper bound" in
-  expect st Lexer.TNewline "a newline after the loop header";
-  st.index_var <- Some index;
-  let body = ref [] in
-  let count = ref 0 in
-  skip_newlines st;
-  while (peek st).tok <> Lexer.TEnddo do
-    incr count;
-    let s = parse_stmt st ~default_label:(Printf.sprintf "S%d" !count) in
-    body := s :: !body;
-    (match (peek st).tok with
-    | Lexer.TNewline -> advance st
-    | Lexer.TEnddo -> ()
-    | t -> err (peek st) "expected a newline or ENDDO, found %s" (Lexer.token_name t));
-    skip_newlines st
-  done;
-  advance st (* ENDDO *);
-  st.index_var <- None;
-  Ast.make_loop ~kind ~index ~lo ~hi ~body:(List.rev !body) ~name
+  advance c;
+  let index = ident c "the loop variable" in
+  expect c TAssign "'='";
+  let lo = int_lit c "the lower bound" in
+  expect c TComma "','";
+  let hi = int_lit c "the upper bound" in
+  expect c TNewline "a newline after the loop header";
+  let body = parse_body c index [] ~count:1 in
+  Ast.make_loop ~kind ~index ~lo ~hi ~body ~name
 
 let parse ?(name = "loop") src =
   Isched_obs.Span.with_ ~name:"frontend.parse" (fun () ->
-      let st = { toks = Lexer.tokenize src; index_var = None } in
-      let loops = ref [] in
-      let count = ref 0 in
-      skip_newlines st;
-      while (peek st).tok <> Lexer.TEof do
-        incr count;
-        let l = parse_loop_at st ~name:(Printf.sprintf "%s.L%d" name !count) in
-        loops := l :: !loops;
-        skip_newlines st
-      done;
-      List.rev !loops)
+      let c = create src in
+      let rec loops acc count =
+        match c.tok with
+        | TEof -> List.rev acc
+        | _ ->
+          let l = parse_loop_at c ~name:(name ^ ".L" ^ string_of_int count) in
+          (match c.tok with TNewline -> advance c | _ -> ());
+          loops (l :: acc) (count + 1)
+      in
+      loops [] 1)
 
 let parse_loop ?(name = "loop") src =
   match parse ~name src with

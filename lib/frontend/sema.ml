@@ -2,21 +2,26 @@ type error = { loop : string; message : string }
 
 type usage = Array_use | Scalar_use
 
+module Names = Hashtbl.Make (String)
+
+let max_trip_count = 1_000_000
+
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.loop e.message
 
 let check (l : Ast.loop) =
   let errors = ref [] in
   let add fmt = Printf.ksprintf (fun message -> errors := { loop = l.name; message } :: !errors) fmt in
   if l.body = [] then add "loop body is empty";
-  if Ast.iterations l = 0 then add "iteration range %d..%d is empty" l.lo l.hi;
+  (* [hi - lo] wraps below 0 when the range spans more than [max_int]. *)
+  if l.hi < l.lo then add "iteration range %d..%d is empty" l.lo l.hi
+  else if l.hi - l.lo >= max_trip_count || l.hi - l.lo < 0 then
+    add "iteration range %d..%d has more than %d iterations" l.lo l.hi max_trip_count;
   (* Name usage consistency. *)
-  let usage : (string, usage) Hashtbl.t = Hashtbl.create 16 in
+  let usage = Names.create 16 in
   let note name u =
-    match Hashtbl.find_opt usage name with
-    | None -> Hashtbl.add usage name u
-    | Some prev ->
-      if prev <> u then
-        add "name %S is used both as an array and as a scalar" name
+    match Names.find_opt usage name with
+    | None -> Names.add usage name u
+    | Some prev -> if prev <> u then add "name %S is used both as an array and as a scalar" name
   in
   (* [depth] counts subscript nesting: an array reference is allowed in a
      subscript (index arrays, the "others" DOACROSS category), but not
@@ -37,11 +42,11 @@ let check (l : Ast.loop) =
     | Ast.Neg x -> walk_expr x ~depth
   in
   let walk_top e = walk_expr e ~depth:0 in
-  let seen_labels = Hashtbl.create 16 in
+  let seen_labels = Names.create 16 in
   List.iter
     (fun (s : Ast.stmt) ->
-      if Hashtbl.mem seen_labels s.label then add "duplicate statement label %S" s.label
-      else Hashtbl.add seen_labels s.label ();
+      if Names.mem seen_labels s.label then add "duplicate statement label %S" s.label
+      else Names.add seen_labels s.label ();
       (match s.guard with
       | Some c ->
         walk_top c.lhs;

@@ -1,7 +1,8 @@
 (** Semantic checks run after parsing and before any analysis.
 
     A loop is well-formed when:
-    - it has at least one statement and a non-empty iteration range;
+    - it has at least one statement and a non-empty iteration range of
+      at most {!max_trip_count} iterations;
     - every name is used consistently as an array (always subscripted) or
       as a scalar (never subscripted), and no name is both;
     - the loop variable is never assigned inside the body;
@@ -10,6 +11,10 @@
       generator does not support. *)
 
 type error = { loop : string; message : string }
+
+(** The largest trip count a loop may have (10{^ 4} times the paper's
+    n = 100); simulation allocates arrays of that length. *)
+val max_trip_count : int
 
 (** [check l] returns all well-formedness violations (empty when the
     loop is valid). *)

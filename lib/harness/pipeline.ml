@@ -43,9 +43,9 @@ let scheduler_tag = function Sched_list -> "list" | Sched_marker -> "marker" | S
 type prep_key = { key_loop : Ast.loop; key_options : options }
 
 (* Key hashing rides on the digest the frontend computed once at loop
-   construction (the polymorphic hash samples only the first few AST
-   nodes, so generated corpus loops collided); the digest also
-   pre-filters the full structural equality. *)
+   construction (see [Ast.loop]: it covers the first statements only, so
+   loops that differ further on collide, and the structural equality
+   decides); the digest also pre-filters that equality. *)
 module Key = struct
   let equal a b =
     a.key_options = b.key_options

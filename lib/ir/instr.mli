@@ -70,9 +70,6 @@ val is_mem : t -> bool
 (** [binop_name op] is the operator's print form, e.g. ["+"], ["<<"]. *)
 val binop_name : binop -> string
 
-(** [binop_fu op] maps an operator to its function unit. *)
-val binop_fu : binop -> Fu.kind
-
 (** Pretty-printing in the style of the paper's Fig. 2; [pp_full]
     additionally resolves sync operand text via the callbacks. *)
 val pp : Format.formatter -> t -> unit

@@ -241,5 +241,4 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr vs -> Some vs | _ -> None
-let to_obj = function Obj kvs -> Some kvs | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None

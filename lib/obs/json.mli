@@ -26,13 +26,8 @@ type value =
   | Arr of value list
   | Obj of (string * value) list  (** members in document order *)
 
-exception Malformed of string * int  (** message, byte offset *)
-
-(** [parse_exn s] parses one JSON document.  Raises {!Malformed} on any
-    deviation, including trailing garbage. *)
-val parse_exn : string -> value
-
-(** [parse s] — {!parse_exn} with the error rendered as a message. *)
+(** [parse s] parses one JSON document; any deviation, trailing garbage
+    included, is an error naming its byte offset. *)
 val parse : string -> (value, string) result
 
 (** [to_string v] serializes compactly (single line).  Numbers that are
@@ -46,5 +41,4 @@ val member : string -> value -> value option
 val to_float : value -> float option
 val to_str : value -> string option
 val to_list : value -> value list option
-val to_obj : value -> (string * value) list option
 val to_bool : value -> bool option

@@ -162,14 +162,14 @@ let get_bool k v =
   | Some b -> Ok b
   | None -> bad "missing or non-boolean %S" k
 
-let opt_int ?(min = min_int) k v =
+let opt_int ~min ~max k v =
   match Json.member k v with
   | None -> Ok None
   | Some x -> (
     match Json.to_float x with
-    | Some f when Float.is_integer f && f >= float_of_int min && f <= 1e9 ->
+    | Some f when Float.is_integer f && f >= float_of_int min && f <= float_of_int max ->
       Ok (Some (int_of_float f))
-    | _ -> bad "%S must be an integer >= %d" k min)
+    | _ -> bad "%S must be an integer in %d..%d" k min max)
 
 let opt_bool k v =
   match Json.member k v with
@@ -220,7 +220,7 @@ let request_of_json v =
       in
       let* issue = get_int ~min:1 "issue" v in
       let* nfu = get_int ~min:1 "nfu" v in
-      let* n_iters = opt_int ~min:1 "n_iters" v in
+      let* n_iters = opt_int ~min:1 ~max:Isched_frontend.Sema.max_trip_count "n_iters" v in
       let* sync_elim = opt_bool "sync_elim" v in
       let* explain = get_bool "explain" v in
       Ok (Schedule { source; scheduler; issue; nfu; n_iters; sync_elim; explain })

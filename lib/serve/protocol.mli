@@ -51,7 +51,8 @@ type request =
       scheduler : scheduler;
       issue : int;
       nfu : int;
-      n_iters : int option;  (** trip-count override *)
+      n_iters : int option;
+          (** trip-count override, at most {!Isched_frontend.Sema.max_trip_count} *)
       sync_elim : bool option;
           (** run the {!Isched_sync.Elim} redundant-synchronization
               elimination pass; [None] defers to the server's configured
@@ -113,20 +114,12 @@ type response =
           schedule cache *)
   | Error of { code : error_code; message : string }
 
-(** {2 JSON codecs} *)
-
-val request_to_json : request -> Json.value
+(** [response_to_json r] — the JSON value {!encode_response} prints. *)
 val response_to_json : response -> Json.value
 
-(** Both decoders return a structured error — never raise — on any
-    deviation: the error code is [Bad_request] for a well-formed JSON
-    value with the wrong shape. *)
-
-val request_of_json : Json.value -> (request, error_code * string) result
-val response_of_json : Json.value -> (response, error_code * string) result
-
 (** [decode_request s] / [decode_response s] — parse the payload string
-    and decode; [Malformed_frame] when [s] is not JSON. *)
+    and decode, never raising: [Malformed_frame] when [s] is not JSON,
+    [Bad_request] for a JSON value of the wrong shape. *)
 
 val decode_request : string -> (request, error_code * string) result
 val decode_response : string -> (response, error_code * string) result

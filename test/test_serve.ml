@@ -474,6 +474,29 @@ let test_source_error_bytes () =
         {|{"status": "error", "code": "source_error", "message": "source contains no loops"}|} );
     ]
 
+(* A trip count is bounded at both boundaries: in the source, where the
+   range is a source error, and as the request's [n_iters] override. *)
+let test_trip_count_bound () =
+  let server = Server.create (Server.default_config ~socket_path:"/tmp/unused.sock") in
+  Alcotest.(check string) "source range"
+    {|{"status": "error", "code": "source_error", "message": "request.L1: iteration range 1..2000000000 has more than 1000000 iterations"}|}
+    (Protocol.encode_response
+       (Server.handle server
+          (Protocol.schedule_request (Protocol.Text "DOACROSS I = 1, 2000000000\n A[I] = A[I-1]\nENDDO\n"))));
+  let request n =
+    Printf.sprintf
+      {|{"op": "schedule", "corpus_loop": "QCD.L1", "scheduler": "new", "issue": 4, "nfu": 1, "n_iters": %d, "explain": false}|}
+      n
+  in
+  (match Protocol.decode_request (request Isched_frontend.Sema.max_trip_count) with
+  | Ok _ -> ()
+  | Error (_, m) -> Alcotest.failf "n_iters at the bound rejected: %s" m);
+  match Protocol.decode_request (request 2_000_000) with
+  | Error (code, message) ->
+    Alcotest.(check string) "code" "bad_request" (Protocol.error_code_name code);
+    Alcotest.(check string) "message" {|"n_iters" must be an integer in 1..1000000|} message
+  | Ok _ -> Alcotest.fail "n_iters above the bound accepted"
+
 (* The one scheduler type: the protocol's names are the pipeline's tags,
    which are also the CLI's --scheduler values. *)
 let test_scheduler_names () =
@@ -1073,6 +1096,8 @@ let suite =
     Alcotest.test_case "server: error mapping" `Quick test_handler_errors;
     Alcotest.test_case "server: source errors keep their wire bytes" `Quick
       test_source_error_bytes;
+    Alcotest.test_case "server: trip counts are bounded at both boundaries" `Quick
+      test_trip_count_bound;
     Alcotest.test_case "protocol: scheduler names are the pipeline's tags" `Quick
       test_scheduler_names;
     Alcotest.test_case "server: cache key covers sync_elim" `Quick
