@@ -24,6 +24,17 @@ let () =
   let served_text =
     Isched_frontend.Ast.loop_to_string (Option.get (Isched_perfect.Suite.find_loop "ADM.G2"))
   in
+  (* MDG.G58 of the scale-20 corpus (118 instructions): the elimination
+     pass removes 6 of its waits. *)
+  let elim_prog, elim_graph =
+    Isched_perfect.Suite.(chunk_loops (List.hd (chunks ~scale:20 Isched_perfect.Profile.mdg)))
+    |> List.find (fun (l : Isched_frontend.Ast.loop) -> l.Isched_frontend.Ast.name = "MDG.G58")
+    |> Isched_harness.Pipeline.(prepare_uncached default_options)
+    |> function
+    | Isched_harness.Pipeline.Doacross { prog; graph; _ }
+      when (Isched_sync.Elim.run prog graph).Isched_sync.Elim.eliminated <> [] -> (prog, graph)
+    | _ -> failwith "stage-sync-elim: MDG.G58 no longer loses a wait"
+  in
   let tests =
     [
       Test.make ~name:"tables-1-2-3-one-config"
@@ -38,6 +49,8 @@ let () =
       Test.make ~name:"stage-frontend-parse"
         (Staged.stage (fun () ->
              ignore (Isched_frontend.Sema.parse_checked ~name:"request" served_text)));
+      Test.make ~name:"stage-sync-elim"
+        (Staged.stage (fun () -> ignore (Isched_sync.Elim.run elim_prog elim_graph)));
       Test.make ~name:"stage-dependence-analysis"
         (Staged.stage (fun () -> ignore (Isched_deps.Dep.analyze fig1)));
       Test.make ~name:"stage-codegen"

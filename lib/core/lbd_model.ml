@@ -19,7 +19,7 @@ let pairs (s : Schedule.t) =
   |> List.map (fun (w : Program.wait_info) ->
          let send = p.Program.signals.(w.signal).send_instr in
          let i = Schedule.position s send and j = Schedule.position s w.wait_instr in
-         let d = max 1 w.distance in
+         let d = Int.max 1 w.distance in
          let links = (n - 1) / d in
          {
            wait_id = w.wait;
@@ -28,8 +28,8 @@ let pairs (s : Schedule.t) =
            wait_pos = j;
            send_pos = i;
            is_lbd = i >= j;
-           paper_time = max l ((n / d * (i - j)) + l);
-           exact_time = (links * max 0 (i - j + 1)) + l;
+           paper_time = Int.max l ((n / d * (i - j)) + l);
+           exact_time = (links * Int.max 0 (i - j + 1)) + l;
          })
 
 let n_lbd s = List.length (List.filter (fun r -> r.is_lbd) (pairs s))
@@ -46,7 +46,7 @@ let observe_sync_spans d s =
   end
 
 let fold_time f s =
-  List.fold_left (fun acc r -> max acc (f r)) s.Schedule.length (pairs s)
+  List.fold_left (fun acc r -> Int.max acc (f r)) s.Schedule.length (pairs s)
 
 let paper_time s = fold_time (fun r -> r.paper_time) s
 
@@ -62,9 +62,9 @@ let exact_time (s : Schedule.t) =
     (fun (w : Program.wait_info) ->
       let send = p.Program.signals.(w.signal).send_instr in
       let i = Schedule.position s send and j = Schedule.position s w.wait_instr in
-      let d = max 1 w.distance in
+      let d = Int.max 1 w.distance in
       let links = (n - 1) / d in
-      let t = (links * max 0 (i - j + 1)) + l in
+      let t = (links * Int.max 0 (i - j + 1)) + l in
       if t > !acc then acc := t)
     p.Program.waits;
   !acc

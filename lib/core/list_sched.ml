@@ -45,13 +45,13 @@ let scratch_key =
 let acquire_scratch n =
   let s = Domain.DLS.get scratch_key in
   if Array.length s.indeg < n then begin
-    let cap = max n (2 * Array.length s.indeg) in
+    let cap = Int.max n (2 * Array.length s.indeg) in
     s.indeg <- Array.make cap 0;
     s.est <- Array.make cap 0;
     s.link <- Array.make cap 0;
     s.deferred <- Array.make cap 0
   end;
-  Array.fill s.head 0 (min s.head_hwm (Array.length s.head)) 0;
+  Array.fill s.head 0 (Int.min s.head_hwm (Array.length s.head)) 0;
   s.head_hwm <- 0;
   Ipqueue.clear s.ready;
   Array.iter Ipqueue.clear s.pending;
@@ -71,7 +71,7 @@ let run_inner ?(tag = "list") ?priority ?release (g : Dfg.t) machine =
   let indeg = s.indeg and est = s.est and link = s.link and deferred = s.deferred in
   for i = 0 to n - 1 do
     indeg.(i) <- Dfg.pred_deg g i;
-    est.(i) <- (match release with Some r -> max 0 r.(i) | None -> 0)
+    est.(i) <- (match release with Some r -> Int.max 0 r.(i) | None -> 0)
   done;
   (* Provenance bookkeeping, all gated on one atomic read per run so the
      disabled path touches none of it (pinned byte-identical by the
@@ -88,7 +88,7 @@ let run_inner ?(tag = "list") ?priority ?release (g : Dfg.t) machine =
   let rej : Provenance.rejection list array = if prov then Array.make n [] else [||] in
   let push_future c i =
     if c >= Array.length s.head then begin
-      let cap = max (c + 1) (2 * Array.length s.head) in
+      let cap = Int.max (c + 1) (2 * Array.length s.head) in
       let bigger = Array.make cap 0 in
       Array.blit s.head 0 bigger 0 (Array.length s.head);
       s.head <- bigger
@@ -122,19 +122,17 @@ let run_inner ?(tag = "list") ?priority ?release (g : Dfg.t) machine =
        parked nodes back to [ready] reproduces the exhaustive re-queue
        exactly — without re-heapifying every blocked node every cycle. *)
     if not prov then
-      Array.iteri
-        (fun k pq ->
-          if
-            (not (Ipqueue.is_empty pq)) && Resource.fits_code res ~cycle:!cycle k
-          then begin
-            let grant = ref machine.Machine.fu_counts.(k) in
-            while !grant > 0 && not (Ipqueue.is_empty pq) do
-              let i = Ipqueue.pop pq in
-              Ipqueue.push ready ~prio:prio.(i) ~tie:i i;
-              decr grant
-            done
-          end)
-        pending;
+      for k = 0 to Array.length pending - 1 do
+        let pq = pending.(k) in
+        if (not (Ipqueue.is_empty pq)) && Resource.fits_code res ~cycle:!cycle k then begin
+          let grant = ref machine.Machine.fu_counts.(k) in
+          while !grant > 0 && not (Ipqueue.is_empty pq) do
+            let i = Ipqueue.pop pq in
+            Ipqueue.push ready ~prio:prio.(i) ~tie:i i;
+            decr grant
+          done
+        end
+      done;
     (* Fill this cycle's issue slots in priority order; nodes that do not
        fit (unit conflict) are parked on their unit kind's pending queue
        until the kind frees up.  Once the cycle's issue slots are gone
@@ -155,19 +153,21 @@ let run_inner ?(tag = "list") ?priority ?release (g : Dfg.t) machine =
             ~cycle:!cycle ~ready:est.(i)
             ~candidates:(Ipqueue.length ready + !n_def + 1)
             ~priority:prio.(i) ~rejections:(List.rev rej.(i)) ?binding:bind.(i) ();
-        Dfg.iter_succs g i (fun a ->
-            let dst = Dfg.arc_node a in
-            let lat = Dfg.arc_latency a in
-            indeg.(dst) <- indeg.(dst) - 1;
-            let ready_at = !cycle + lat in
-            if prov && ready_at >= est.(dst) then
-              bind.(dst) <-
-                Some
-                  { Provenance.pred = i;
-                    latency = lat;
-                    arc = Dfg.arc_kind_name (Dfg.arc_kind a) };
-            est.(dst) <- max est.(dst) ready_at;
-            if indeg.(dst) = 0 then push_future (max est.(dst) (!cycle + 1)) dst)
+        for e = g.Dfg.succ_off.(i) to g.Dfg.succ_off.(i + 1) - 1 do
+          let a = g.Dfg.succ_arc.(e) in
+          let dst = Dfg.arc_node a in
+          let lat = Dfg.arc_latency a in
+          indeg.(dst) <- indeg.(dst) - 1;
+          let ready_at = !cycle + lat in
+          if prov && ready_at >= est.(dst) then
+            bind.(dst) <-
+              Some
+                { Provenance.pred = i;
+                  latency = lat;
+                  arc = Dfg.arc_kind_name (Dfg.arc_kind a) };
+          est.(dst) <- Int.max est.(dst) ready_at;
+          if indeg.(dst) = 0 then push_future (Int.max est.(dst) (!cycle + 1)) dst
+        done
       end
       else if prov then begin
         let ins = g.Dfg.prog.Isched_ir.Program.body.(i) in

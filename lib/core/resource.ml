@@ -5,7 +5,8 @@ module Counters = Isched_obs.Counters
 
 (* Probe length of each [first_fit] call: how many candidate cycles were
    tested before one fit.  A growing tail here means the saturation
-   hints are losing their bite. *)
+   hints are losing their bite.  Tallied in the tracker (below 64) and
+   merged once per schedule: an [observe] costs five atomics. *)
 let d_probes = Counters.dist "resource.first_fit.probes"
 
 (* Occupancy counts are bounded by the machine's issue width / unit
@@ -27,6 +28,7 @@ type t = {
   fu_used : table array;  (* per unit kind, cycle -> units busy *)
   mutable issue_full_below : int;  (* every cycle below has no free issue slot *)
   fu_full_below : int array;  (* per unit kind, every cycle below is saturated *)
+  probes : int array;  (* probe length -> unflushed calls *)
 }
 
 let[@inline] get_or tbl c = if c < tbl.len then Bigarray.Array1.unsafe_get tbl.cells c else 0
@@ -34,7 +36,7 @@ let[@inline] get_or tbl c = if c < tbl.len then Bigarray.Array1.unsafe_get tbl.c
 let bump tbl c =
   let cap = Bigarray.Array1.dim tbl.cells in
   if c >= cap then begin
-    let cap' = max (c + 1) (2 * cap) in
+    let cap' = Int.max (c + 1) (2 * cap) in
     let bigger = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout cap' in
     Bigarray.Array1.fill bigger 0;
     Bigarray.Array1.blit tbl.cells (Bigarray.Array1.sub bigger 0 cap);
@@ -58,7 +60,14 @@ let create machine =
     fu_used = Array.init Fu.count (fun _ -> table_create ());
     issue_full_below = 0;
     fu_full_below = Array.make Fu.count 0;
+    probes = Array.make 64 0;
   }
+
+let tally t v = if v < 64 then t.probes.(v) <- t.probes.(v) + 1 else Counters.observe d_probes v
+
+let flush_probes t =
+  Counters.observe_counts d_probes t.probes;
+  Array.fill t.probes 0 64 0
 
 (* One pooled tracker per domain, reset instead of reallocated: a
    scaled bench run creates thousands of short-lived trackers per
@@ -187,24 +196,24 @@ let first_fit_code t ~from k =
      derived once here instead of once per probed cycle. *)
   let issue = t.issue_used in
   let issue_w = t.machine.Machine.issue_width in
-  let start0 = max 0 (max from t.issue_full_below) in
+  let start0 = Int.max 0 (Int.max from t.issue_full_below) in
   if k < 0 then begin
     (* Only the issue width constrains the placement. *)
-    let horizon = max start0 issue.len in
+    let horizon = Int.max start0 issue.len in
     let c = ref start0 in
     while !c <= horizon && get_or issue !c >= issue_w do
       incr c
     done;
-    Counters.observe d_probes (!c - start0 + 1);
+    tally t (!c - start0 + 1);
     if !c > horizon then no_fit t k;
     !c
   end
   else begin
-    let start = max start0 t.fu_full_below.(k) in
+    let start = Int.max start0 t.fu_full_below.(k) in
     let avail = t.machine.Machine.fu_counts.(k) in
     let d = duration_code t k in
     let tbl = t.fu_used.(k) in
-    let horizon = max start (max issue.len tbl.len) in
+    let horizon = Int.max start (Int.max issue.len tbl.len) in
     let c = ref start in
     let found = ref false in
     while (not !found) && !c <= horizon do
@@ -217,7 +226,7 @@ let first_fit_code t ~from k =
        end);
       if not !found then incr c
     done;
-    Counters.observe d_probes (!c - start + 1);
+    tally t (!c - start + 1);
     if not !found then no_fit t k;
     !c
   end

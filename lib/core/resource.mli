@@ -63,3 +63,8 @@ val first_fit : t -> from:int -> Instr.t -> int
 (** [first_fit_code t ~from k] — {!first_fit} with a precomputed
     {!fu_code}. *)
 val first_fit_code : t -> from:int -> int -> int
+
+(** [flush_probes t] merges the probe lengths of [t]'s {!first_fit}
+    calls since the last flush into the [resource.first_fit.probes]
+    distribution; a scheduler calls it once per schedule. *)
+val flush_probes : t -> unit

@@ -20,7 +20,7 @@ let of_cycles prog machine cycle_of =
       if c < 0 then
         invalid_arg (Printf.sprintf "Schedule.of_cycles: instruction %d unscheduled" (i + 1)))
     cycle_of;
-  let length = if n = 0 then 0 else 1 + Array.fold_left max 0 cycle_of in
+  let length = if n = 0 then 0 else 1 + Array.fold_left Int.max 0 cycle_of in
   (* Counting sort into exactly-sized rows, ascending within each row;
      no intermediate lists. *)
   let counts = Array.make (length + 1) 0 in
@@ -63,7 +63,7 @@ let validate t (g : Dfg.t) =
       | None -> ()
       | Some kind ->
         let d = if m.Machine.pipelined then 1 else Fu.latency kind in
-        for c = t.cycle_of.(i) to min (horizon - 1) (t.cycle_of.(i) + d - 1) do
+        for c = t.cycle_of.(i) to Int.min (horizon - 1) (t.cycle_of.(i) + d - 1) do
           let k = Fu.index kind in
           used.(k).(c) <- used.(k).(c) + 1;
           if used.(k).(c) > Machine.fu_count m kind then
@@ -114,7 +114,7 @@ let pp ppf t =
         Array.to_list (Array.map (fun i -> string_of_int (i + 1)) row)
       in
       let width = t.machine.Machine.issue_width in
-      let padded = cells @ List.init (max 0 (width - List.length cells)) (fun _ -> "-") in
+      let padded = cells @ List.init (Int.max 0 (width - List.length cells)) (fun _ -> "-") in
       Format.fprintf ppf "%3d: (%s)@." (c + 1) (String.concat ", " padded))
     t.rows
 

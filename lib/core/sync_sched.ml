@@ -24,6 +24,7 @@ type state = {
   prov : bool;  (* provenance recording enabled, read once per run *)
   prio : int array;  (* longest path to exit, the phase-3 priority *)
   fuc : int array;  (* per-node Resource.fu_code, memoized on the graph *)
+  est : int array;  (* [asap_estimate]'s output, reused across paths *)
 }
 
 let placed st i = st.cycle_of.(i) >= 0
@@ -72,23 +73,26 @@ let rec place st ?(from = 0) ?ctx i =
     (* One predecessor walk both places the ancestors and accumulates
        the readiness cycle: each predecessor's cycle is final once its
        recursive [place] returns, and later placements never move it. *)
+    let g = st.g in
     let ready = ref 0 in
-    Dfg.iter_preds st.g i (fun a ->
-        let src = Dfg.arc_node a in
-        place st src;
-        let t = st.cycle_of.(src) + Dfg.arc_latency a in
-        if t > !ready then ready := t);
+    for e = g.Dfg.pred_off.(i) to g.Dfg.pred_off.(i + 1) - 1 do
+      let a = g.Dfg.pred_arc.(e) in
+      let src = Dfg.arc_node a in
+      place st src;
+      let t = st.cycle_of.(src) + Dfg.arc_latency a in
+      if t > !ready then ready := t
+    done;
     let ready = !ready in
     let from_outer = from in
     let lfd_send = st.lfd_wait_send.(i) in
     let from =
       if lfd_send >= 0 then begin
         place st lfd_send;
-        max from (st.cycle_of.(lfd_send) + 1)
+        Int.max from (st.cycle_of.(lfd_send) + 1)
       end
       else from
     in
-    let start = max from ready in
+    let start = Int.max from ready in
     let c = Resource.first_fit_code st.res ~from:start st.fuc.(i) in
     Resource.reserve_code st.res ~cycle:c st.fuc.(i);
     st.cycle_of.(i) <- c;
@@ -110,12 +114,6 @@ let rec place st ?(from = 0) ?ctx i =
     end
   end
 
-(* Place a node at the earliest feasible cycle >= [from] and return the
-   chosen cycle. *)
-let place_at_least st i ~from ?ctx () =
-  place st ~from ?ctx i;
-  st.cycle_of.(i)
-
 (* --- synchronization paths --- *)
 
 (* Component discovery and member ordering live in {!Dfg.sync_groups}
@@ -133,14 +131,15 @@ let group_paths ~order_paths (groups : Dfg.path_group list) =
 (* Latency-only ASAP times, ignoring resources: the lower bound on any
    node's cycle.  Nodes already placed use their committed cycle. *)
 let asap_estimate st =
-  let est = Array.make st.g.Dfg.n 0 in
-  for i = 0 to st.g.Dfg.n - 1 do
-    Dfg.iter_preds st.g i (fun a ->
-        let t = est.(Dfg.arc_node a) + Dfg.arc_latency a in
-        if t > est.(i) then est.(i) <- t);
-    if placed st i then est.(i) <- max est.(i) st.cycle_of.(i)
-  done;
-  est
+  let g = st.g and est = st.est in
+  for i = 0 to g.Dfg.n - 1 do
+    let t = ref (if placed st i then st.cycle_of.(i) else 0) in
+    for e = g.Dfg.pred_off.(i) to g.Dfg.pred_off.(i + 1) - 1 do
+      let a = g.Dfg.pred_arc.(e) in
+      t := Int.max !t (est.(Dfg.arc_node a) + Dfg.arc_latency a)
+    done;
+    est.(i) <- !t
+  done
 
 (* Schedule the nodes of one path on consecutive cycles.
 
@@ -160,34 +159,40 @@ let place_path st (p : Dfg.sync_path) =
   if k = 0 then ()
   else begin
     (* Cumulative offsets along the path. *)
+    let g = st.g in
     let offs = Array.make k 0 in
     for i = 1 to k - 1 do
-      let lat =
-        let m = ref 1 in
-        Dfg.iter_succs st.g nodes.(i - 1) (fun a ->
-            if Dfg.arc_node a = nodes.(i) && Dfg.arc_latency a > !m then m := Dfg.arc_latency a);
-        !m
-      in
-      offs.(i) <- offs.(i - 1) + lat
+      let lat = ref 1 in
+      for e = g.Dfg.succ_off.(nodes.(i - 1)) to g.Dfg.succ_off.(nodes.(i - 1) + 1) - 1 do
+        let a = g.Dfg.succ_arc.(e) in
+        if Dfg.arc_node a = nodes.(i) then lat := Int.max !lat (Dfg.arc_latency a)
+      done;
+      offs.(i) <- offs.(i - 1) + !lat
     done;
-    let est = asap_estimate st in
+    asap_estimate st;
     let start = ref 0 in
-    Array.iteri (fun i v -> start := max !start (est.(v) - offs.(i))) nodes;
-    Array.iteri
-      (fun i v ->
-        if not (placed st v) then begin
-          let ctx =
-            if i = 0 then { Provenance.pred = -1; latency = 0; arc = "sync-path" }
-            else
+    for i = 0 to k - 1 do
+      start := Int.max !start (st.est.(nodes.(i)) - offs.(i))
+    done;
+    for i = 0 to k - 1 do
+      let v = nodes.(i) in
+      if not (placed st v) then begin
+        (* The sync-path contiguity floor, named for provenance. *)
+        let ctx =
+          if not st.prov then None
+          else if i = 0 then Some { Provenance.pred = -1; latency = 0; arc = "sync-path" }
+          else
+            Some
               { Provenance.pred = nodes.(i - 1);
                 latency = offs.(i) - offs.(i - 1);
                 arc = "sync-path" }
-          in
-          let c = place_at_least st v ~from:(!start + offs.(i)) ~ctx () in
-          if c > !start + offs.(i) then start := c - offs.(i)
-        end
-        else start := max !start (st.cycle_of.(v) - offs.(i)))
-      nodes
+        in
+        place st ~from:(!start + offs.(i)) ?ctx v;
+        let c = st.cycle_of.(v) in
+        if c > !start + offs.(i) then start := c - offs.(i)
+      end
+      else start := Int.max !start (st.cycle_of.(v) - offs.(i))
+    done
   end
 
 let run_inner ~options ?baseline (g : Dfg.t) machine =
@@ -209,6 +214,7 @@ let run_inner ~options ?baseline (g : Dfg.t) machine =
       prov = Provenance.enabled ();
       prio = Dfg.longest_path_to_exit g;
       fuc = Dfg.fu_codes g;
+      est = Array.make n 0;
     }
   in
   (* Phase 1: Sigwat components' synchronization paths, worst first. *)
@@ -216,12 +222,18 @@ let run_inner ~options ?baseline (g : Dfg.t) machine =
   List.iter (fun grp -> List.iter (place_path st) grp.Dfg.gpaths) groups;
   (* Phase 2: sends (Sig graphs and any remaining Sigwat sends) as soon
      as possible, so the waits that must follow them stay early. *)
-  Array.iter (fun (s : Program.signal_info) -> place st s.send_instr) p.Program.signals;
+  for s = 0 to Array.length p.Program.signals - 1 do
+    place st p.Program.signals.(s).send_instr
+  done;
   (* Phase 3: everything else, critical path first (ties towards program
      order) so the fill is as dense as the list scheduler's.  Waits
      constrained to follow their sends do so via [lfd_wait_send] inside
      [place]. *)
-  Array.iter (fun i -> place st i) (Dfg.priority_order g);
+  let order = Dfg.priority_order g in
+  for k = 0 to n - 1 do
+    place st order.(k)
+  done;
+  Resource.flush_probes st.res;
   let sched = Schedule.of_cycles p machine st.cycle_of in
   let sched = Schedule.compact sched g in
   (* The paper's guarantee that the technique "never degrades the system

@@ -546,7 +546,7 @@ let sync_groups g =
           arr;
         let n_iters = g.prog.Program.n_iters in
         let weight (p : sync_path) =
-          float_of_int n_iters /. float_of_int (max 1 p.distance)
+          float_of_int n_iters /. float_of_int (Int.max 1 p.distance)
           *. float_of_int (List.length p.nodes)
         in
         Isched_util.Union_find.groups uf
@@ -583,11 +583,11 @@ let lfd_sends g =
   | Some a -> a
   | None ->
     let p = g.prog in
-    let lfd = Array.make (max 1 g.n) (-1) in
-    let extra = Array.make (max 1 g.n) [] in
-    let path_head = Array.make (max 1 g.n) false in
+    let lfd = Array.make (Int.max 1 g.n) (-1) in
+    let extra = Array.make (Int.max 1 g.n) [] in
+    let path_head = Array.make (Int.max 1 g.n) false in
     List.iter (fun (sp : sync_path) -> path_head.(List.hd sp.nodes) <- true) (sync_paths g);
-    let seen = Array.make (max 1 g.n) 0 in
+    let seen = Array.make (Int.max 1 g.n) 0 in
     let stamp = ref 0 in
     let reaches src dst =
       (* DFS over DFG arcs + accepted send->wait constraint edges. *)
@@ -641,18 +641,26 @@ let longest_path_to_exit g =
 (* Every node, critical path first, ties towards program order: the
    fill order of the schedulers' final phase.  A pure function of the
    graph, so the sort happens once instead of once per machine
-   configuration. *)
+   configuration.  Priorities are small non-negative ints, so a stable
+   counting sort on [top - prio] (nodes visited in index order) gives
+   that order directly. *)
 let priority_order g =
   match g.memo.order with
   | Some o -> o
   | None ->
     let prio = longest_path_to_exit g in
-    let order = Array.init g.n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare prio.(b) prio.(a) in
-        if c <> 0 then c else Int.compare a b)
-      order;
+    let top = Array.fold_left Int.max 0 prio in
+    let next = Array.make (top + 2) 0 in
+    Array.iter (fun p -> next.(top - p + 1) <- next.(top - p + 1) + 1) prio;
+    for k = 1 to top + 1 do
+      next.(k) <- next.(k) + next.(k - 1)
+    done;
+    let order = Array.make g.n 0 in
+    for i = 0 to g.n - 1 do
+      let k = top - prio.(i) in
+      order.(next.(k)) <- i;
+      next.(k) <- next.(k) + 1
+    done;
     g.memo.order <- Some order;
     order
 

@@ -165,65 +165,51 @@ let count_sync_ops (p : Program.t) =
 let summarize_chunk ?(options = Pipeline.default_options) configs (c : Suite.chunk) =
   let module Doall = Isched_transform.Doall in
   let loops = Suite.chunk_loops c in
-  (* [prepare_uncached]: a 1000x corpus must not accumulate in the memo. *)
-  let prepared = List.map (fun l -> (l, Pipeline.prepare_uncached options l)) loops in
-  let source_lines = List.fold_left (fun acc (l, _) -> acc + Ast.source_lines l) 0 prepared in
-  let doacross =
-    List.filter_map
-      (fun (l, p) -> match p with Pipeline.Doacross _ -> Some (l, p) | Pipeline.Doall _ -> None)
-      prepared
-  in
-  let n_doall = List.length prepared - List.length doacross in
-  let progs =
-    List.filter_map
-      (fun (_, p) -> match p with Pipeline.Doacross { prog; _ } -> Some prog | _ -> None)
-      doacross
-  in
-  let dlx = List.fold_left (fun acc p -> acc + Array.length p.Program.body) 0 progs in
-  let lfd = List.fold_left (fun acc p -> acc + Program.n_lfd p) 0 progs in
-  let lbd = List.fold_left (fun acc p -> acc + Program.n_lbd p) 0 progs in
-  let cs_sync_ops = List.fold_left (fun acc p -> acc + count_sync_ops p) 0 progs in
-  let cs_meas =
-    List.map
-      (fun (cname, m) ->
-        let tl, tn =
-          List.fold_left
-            (fun (atl, atn) (_, p) ->
-              let tl, tn = Pipeline.list_and_new_times ~options p m in
-              (atl + tl, atn + tn))
-            (0, 0) doacross
-        in
-        (cname, tl, tn))
-      configs
-  in
-  let counts = Hashtbl.create 8 in
+  (* Loop by loop: each is prepared uncached (a 1000x corpus must not
+     accumulate in the memo) and measured on every configuration before
+     the next, so its program and graph die young instead of being
+     promoted and kept for the whole chunk. *)
+  let stats = Array.make 6 0 and cs_sync_ops = ref 0 and counts = Hashtbl.create 8 in
+  let t_list = Array.make (List.length configs) 0 and t_new = Array.make (List.length configs) 0 in
   List.iter
-    (fun (l, p) ->
-      (* Categorization reads the dependences of the ORIGINAL loop; when
-         restructuring was the identity (the common case for loops that
-         stay DOACROSS) those are exactly the [carried] the preparation
-         already computed. *)
-      let cat =
-        match p with
-        | Pipeline.Doacross { restructured; carried; _ }
-          when restructured.Isched_transform.Restructure.loop == l ->
-          Doall.categorize ~carried l
-        | _ -> Doall.categorize l
-      in
-      Hashtbl.replace counts cat (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat)))
-    doacross;
+    (fun l ->
+      stats.(0) <- stats.(0) + Ast.source_lines l;
+      match Pipeline.prepare_uncached options l with
+      | Pipeline.Doall _ -> stats.(2) <- stats.(2) + 1
+      | Pipeline.Doacross { prog; restructured; carried; _ } as p ->
+        stats.(3) <- stats.(3) + Array.length prog.Program.body;
+        stats.(4) <- stats.(4) + Program.n_lfd prog;
+        stats.(5) <- stats.(5) + Program.n_lbd prog;
+        cs_sync_ops := !cs_sync_ops + count_sync_ops prog;
+        List.iteri
+          (fun i (_, m) ->
+            let tl, tn = Pipeline.list_and_new_times ~options p m in
+            t_list.(i) <- t_list.(i) + tl;
+            t_new.(i) <- t_new.(i) + tn)
+          configs;
+        (* Categorization reads the dependences of the ORIGINAL loop; when
+           restructuring was the identity (the common case for loops that
+           stay DOACROSS) those are exactly the [carried] the preparation
+           already computed. *)
+        let cat =
+          if restructured.Isched_transform.Restructure.loop == l then Doall.categorize ~carried l
+          else Doall.categorize l
+        in
+        Hashtbl.replace counts cat (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat)))
+    loops;
+  stats.(1) <- List.length loops;
   let cs_cats =
     List.map
       (fun cat -> Option.value ~default:0 (Hashtbl.find_opt counts cat))
       Doall.all_categories
-    @ [ n_doall ]
+    @ [ stats.(2) ]
   in
   {
     cs_profile = c.Suite.profile.Profile.name;
-    cs_stats = [| source_lines; List.length loops; n_doall; dlx; lfd; lbd |];
-    cs_meas;
+    cs_stats = stats;
+    cs_meas = List.mapi (fun i (cname, _) -> (cname, t_list.(i), t_new.(i))) configs;
     cs_cats;
-    cs_sync_ops;
+    cs_sync_ops = !cs_sync_ops;
   }
 
 let scaled_tables ?options ?jobs ?(chunk_size = 64) ~scale profiles configs =

@@ -119,6 +119,21 @@ let observe (d : dist) v =
     Atomic.incr (shard_buckets s).(Hist.index v)
   end
 
+let observe_counts (d : dist) counts =
+  if Atomic.get enabled_flag then begin
+    let s = d.(shard_index ()) in
+    for v = 0 to Array.length counts - 1 do
+      let c = counts.(v) in
+      if c > 0 then begin
+        ignore (Atomic.fetch_and_add s.count c);
+        ignore (Atomic.fetch_and_add s.sum (c * v));
+        atomic_min s.mn v;
+        atomic_max s.mx v;
+        ignore (Atomic.fetch_and_add (shard_buckets s).(Hist.index v) c)
+      end
+    done
+  end
+
 type dist_stats = {
   count : int;
   sum : int;

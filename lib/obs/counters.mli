@@ -33,6 +33,11 @@ val value : counter -> int
     exact value in [0..63], four per power of two above. *)
 val observe : dist -> int -> unit
 
+(** [observe_counts d counts] records [counts.(v)] samples of value [v]
+    for every index [v], exactly as that many {!observe} calls would:
+    a batch the caller tallied locally, merged in one pass. *)
+val observe_counts : dist -> int array -> unit
+
 type dist_stats = {
   count : int;
   sum : int;

@@ -69,13 +69,13 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
     | `Cyclic -> if k >= n_procs then Some (k - n_procs) else None
     | `Block -> if k mod block <> 0 then Some (k - 1) else None
   in
-  let finish_at = Array.make (max n 1) 0 in
+  let finish_at = Array.make (Int.max n 1) 0 in
   (* post.(signal).(k) = cycle at which iteration k's Send executed;
      -1 when not yet (or never) posted. *)
   let n_signals = Array.length p.Program.signals in
-  let post = Array.init n_signals (fun _ -> Array.make (max n 1) (-1)) in
-  let iteration_starts = Array.make (max n 1) 0 in
-  let stall_of = Array.make (max n 1) 0 in
+  let post = Array.init n_signals (fun _ -> Array.make (Int.max n 1) (-1)) in
+  let iteration_starts = Array.make (Int.max n 1) 0 in
+  let stall_of = Array.make (Int.max n 1) 0 in
   (* Event compression: an iteration's clock advances exactly one cycle
      per row, except at rows containing a Wait (which can stall it) or a
      Send (which must record its post cycle).  Collecting those rows
@@ -162,13 +162,13 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
      iteration from which the recurrence shape is the same at k and
      k - period. *)
   let d_max =
-    Array.fold_left (fun acc (w : Program.wait_info) -> max acc w.Program.distance) 0 p.Program.waits
+    Array.fold_left (fun acc (w : Program.wait_info) -> Int.max acc w.Program.distance) 0 p.Program.waits
   in
   let period =
     if not limited then 1 else match assignment with `Cyclic -> n_procs | `Block -> block
   in
-  let lag = max d_max (if limited then match assignment with `Cyclic -> n_procs | `Block -> 1 else 1) in
-  let guard = period + max 1 (max d_max (if limited && assignment = `Cyclic then n_procs else 0)) in
+  let lag = Int.max d_max (if limited then match assignment with `Cyclic -> n_procs | `Block -> 1 else 1) in
+  let guard = period + Int.max 1 (Int.max d_max (if limited && assignment = `Cyclic then n_procs else 0)) in
   (* The window must cover a full period on top of the input lag:
      under block assignment the residue classes mod [period] behave
      differently (chunk-boundary iterations have no processor edge), so
@@ -243,7 +243,7 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
   let finish = ref 0 in
   let stalls = ref 0 in
   for k = 0 to n - 1 do
-    finish := max !finish finish_at.(k);
+    finish := Int.max !finish finish_at.(k);
     stalls := !stalls + stall_of.(k)
   done;
   let trim a = if n = 0 then [||] else a in

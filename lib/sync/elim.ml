@@ -28,37 +28,45 @@ let c_sends_removed = Counters.counter "sync.elim.sends_removed"
    active set minus the elimination target).  All arcs point forward in
    body order — data defs precede uses, memory arcs follow program
    order, validate pins sends after sources and waits before sinks — so
-   one reverse sweep closes the relation. *)
+   one reverse sweep closes the relation.  Row [i] is a bitset of
+   [words n] ints, 62 nodes per int, OR-ed a word at a time; it holds no
+   node before [i], so an arc to [dst] ORs only the words from
+   [dst / 62] on. *)
+let words n = (n + 61) / 62
+
 let reachability (g : Dfg.t) ~wait_of_node ~signal_of_node ~allowed_wait ~allowed_signal =
-  let n = g.Dfg.n in
-  let reach = Array.make_matrix n n false in
+  let n = g.Dfg.n and w = words g.Dfg.n in
+  let reach = Array.make (n * w) 0 in
   for i = n - 1 downto 0 do
-    reach.(i).(i) <- true;
-    let arc_allowed a =
-      match Dfg.arc_kind a with
-      | Dfg.Data | Dfg.Mem -> true
-      | Dfg.Sync_snk ->
-        (* From a wait to an instruction it protects: trusted only while
-           that wait survives. *)
-        let w = wait_of_node.(i) in
-        w >= 0 && allowed_wait w
-      | Dfg.Sync_src ->
-        (* From a source access to its send: trusted only while the send
-           itself survives, i.e. some surviving wait still blocks on the
-           signal. *)
-        let s = signal_of_node.(Dfg.arc_node a) in
-        s >= 0 && allowed_signal s
-    in
-    Dfg.iter_succs g i (fun a ->
-        if arc_allowed a then begin
-          let dst = Dfg.arc_node a in
-          let row_dst = reach.(dst) and row_i = reach.(i) in
-          for j = 0 to n - 1 do
-            if row_dst.(j) then row_i.(j) <- true
-          done
-        end)
+    reach.((i * w) + (i / 62)) <- 1 lsl (i mod 62);
+    for k = g.Dfg.succ_off.(i) to g.Dfg.succ_off.(i + 1) - 1 do
+      let a = g.Dfg.succ_arc.(k) in
+      let dst = Dfg.arc_node a in
+      let allowed =
+        match Dfg.arc_kind a with
+        | Dfg.Data | Dfg.Mem -> true
+        | Dfg.Sync_snk ->
+          (* From a wait to an instruction it protects: trusted only
+             while that wait survives. *)
+          let wt = wait_of_node.(i) in
+          wt >= 0 && allowed_wait wt
+        | Dfg.Sync_src ->
+          (* From a source access to its send: trusted only while the
+             send itself survives, i.e. some surviving wait still blocks
+             on the signal. *)
+          let s = signal_of_node.(dst) in
+          s >= 0 && allowed_signal s
+      in
+      if allowed then
+        for x = dst / 62 to w - 1 do
+          reach.((i * w) + x) <- reach.((i * w) + x) lor reach.((dst * w) + x)
+        done
+    done
   done;
   reach
+
+let reaches (g : Dfg.t) reach i j =
+  reach.((i * words g.Dfg.n) + (j / 62)) land (1 lsl (j mod 62)) <> 0
 
 (* [covered p g ~target active] decides whether every instruction
    [target] protects stays ordered after its source event without it,
@@ -110,12 +118,12 @@ let covered (p : Program.t) (g : Dfg.t) ~wait_of_node ~signal_of_node
         List.iter
           (fun (k : Program.wait_info) ->
             let send = p.Program.signals.(k.Program.signal).Program.send_instr in
-            if reach.(node).(send) then
+            if reaches g reach node send then
               push k.Program.wait_instr (w + k.Program.distance) (Some (node, w, k)))
           active
     done;
     let frontier = List.rev !at_d in
-    let witness goal = List.find_opt (fun r -> reach.(r).(goal)) frontier in
+    let witness goal = List.find_opt (fun r -> reaches g reach r goal) frontier in
     if not (List.for_all (fun goal -> witness goal <> None) goals) then None
     else begin
       (* Chain for the primary sink, hops in source-to-sink order. *)
@@ -162,39 +170,28 @@ let rebuild (p : Program.t) removed_waits =
     (fun (s : Program.signal_info) ->
       if not signal_used.(s.Program.signal) then drop.(s.Program.send_instr) <- true)
     p.Program.signals;
-  let index_map = Array.make n (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if not drop.(i) then begin
-      index_map.(i) <- !next;
-      incr next
-    end
-  done;
-  let sig_map = Array.make n_sig (-1) in
-  let next_sig = ref 0 in
-  for s = 0 to n_sig - 1 do
-    if signal_used.(s) then begin
-      sig_map.(s) <- !next_sig;
-      incr next_sig
-    end
-  done;
-  let wait_map = Array.make n_wait (-1) in
-  let next_wait = ref 0 in
-  for w = 0 to n_wait - 1 do
-    if not wait_removed.(w) then begin
-      wait_map.(w) <- !next_wait;
-      incr next_wait
-    end
-  done;
-  let body =
-    Array.of_list
-      (List.filteri (fun i _ -> not drop.(i)) (Array.to_list p.Program.body)
-      |> List.map (function
-           | Instr.Send { signal } -> Instr.Send { signal = sig_map.(signal) }
-           | Instr.Wait { wait } -> Instr.Wait { wait = wait_map.(wait) }
-           | ins -> ins))
+  let renumber keep len =
+    let map = Array.make len (-1) and next = ref 0 in
+    for i = 0 to len - 1 do
+      if keep i then begin
+        map.(i) <- !next;
+        incr next
+      end
+    done;
+    map
   in
+  let index_map = renumber (fun i -> not drop.(i)) n in
+  let sig_map = renumber (fun s -> signal_used.(s)) n_sig in
+  let wait_map = renumber (fun w -> not wait_removed.(w)) n_wait in
   let keep_arr a = Array.of_list (List.filteri (fun i _ -> not drop.(i)) (Array.to_list a)) in
+  let body =
+    Array.map
+      (function
+        | Instr.Send { signal } -> Instr.Send { signal = sig_map.(signal) }
+        | Instr.Wait { wait } -> Instr.Wait { wait = wait_map.(wait) }
+        | ins -> ins)
+      (keep_arr p.Program.body)
+  in
   let signals =
     Array.of_list
       (List.filter_map
@@ -301,13 +298,9 @@ let run (p : Program.t) (g : Dfg.t) =
           (fun e -> { e with send_removed = not signal_used.(e.wait.Program.signal) })
           es
       in
-      let n_sends_removed =
-        let c = ref 0 in
-        Array.iteri (fun _ used -> if not used then incr c) signal_used;
-        !c
-      in
       Counters.add c_waits_removed (List.length eliminated);
-      Counters.add c_sends_removed n_sends_removed;
+      Counters.add c_sends_removed
+        (Array.length p.Program.signals - Array.length prog.Program.signals);
       let candidates = List.length !active in
       List.iter (fun e -> emit_provenance p e ~candidates) eliminated;
       { prog; graph = Dfg.build prog; eliminated; index_map }

@@ -240,6 +240,21 @@ let test_graph_is_acyclic_forward () =
         b.Isched_perfect.Suite.loops)
     (Isched_perfect.Suite.all ())
 
+(* The counting-sort priority order is the comparison sort it replaced:
+   critical path first, ties towards program order. *)
+let test_priority_order_sorted () =
+  List.iter
+    (fun (b : Isched_perfect.Suite.benchmark) ->
+      List.iter
+        (fun l ->
+          let g = Dfg.build (Isched_codegen.Codegen.compile l) in
+          let prio = Dfg.longest_path_to_exit g in
+          let expected = Array.init g.Dfg.n (fun i -> i) in
+          Array.stable_sort (fun a b -> Int.compare prio.(b) prio.(a)) expected;
+          Alcotest.(check (array int)) "priority order" expected (Dfg.priority_order g))
+        b.Isched_perfect.Suite.loops)
+    (Isched_perfect.Suite.all ())
+
 let suite =
   [
     ("alias: affine disambiguation", `Quick, test_may_alias);
@@ -260,4 +275,6 @@ let suite =
     ("priorities: longest path to exit", `Quick, test_longest_path);
     ("dot output", `Quick, test_dot_output);
     ("graphs of the whole corpus are forward DAGs", `Quick, test_graph_is_acyclic_forward);
+    ("priorities: counting-sort order equals the comparison sort", `Quick,
+      test_priority_order_sorted);
   ]

@@ -703,6 +703,21 @@ let test_reqlog_entry_json () =
     | Ok v' -> Option.bind (Ojson.member "error" v') Ojson.to_str = Some "internal"
     | Error _ -> false)
 
+(* A batch tallied locally and merged with [observe_counts] reads
+   exactly like one [observe] per sample, on top of earlier samples. *)
+let test_observe_counts_law =
+  qtest "counters: observe_counts equals one observe per sample"
+    QCheck2.Gen.(pair (list gen_sample) (list (int_bound 99)))
+    (fun (before, batch) ->
+      fresh ();
+      let one = Counters.dist "test.many.one" and many = Counters.dist "test.many.batch" in
+      List.iter (fun v -> Counters.observe one v; Counters.observe many v) before;
+      List.iter (Counters.observe one) batch;
+      let counts = Array.make 100 0 in
+      List.iter (fun v -> counts.(v) <- counts.(v) + 1) batch;
+      Counters.observe_counts many counts;
+      Counters.dist_stats one = Counters.dist_stats many)
+
 let suite =
   [
     Alcotest.test_case "span: disabled records nothing" `Quick test_span_disabled_records_nothing;
@@ -743,4 +758,5 @@ let suite =
     test_hist_bucket_law;
     Alcotest.test_case "hist: bucket edges" `Quick test_hist_edges;
     test_hist_quantile_law;
+    test_observe_counts_law;
   ]

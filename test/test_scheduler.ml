@@ -463,6 +463,44 @@ let test_sync_conditions_in_schedules () =
         b.Isched_perfect.Suite.loops)
     (Isched_perfect.Suite.all ())
 
+(* Minor words per scheduled instruction over the scale-20 corpus on
+   the four paper machines.  The graphs' memos (critical path, sync
+   paths, priority order) are forced by a warm-up pass first, as the
+   pipeline's memoized graphs have them; what is measured is the
+   schedulers' own per-run allocation. *)
+let test_scheduler_allocation () =
+  let module Pipeline = Isched_harness.Pipeline in
+  let graphs =
+    List.concat_map
+      (fun profile ->
+        List.concat_map
+          (fun c ->
+            List.filter_map
+              (fun l ->
+                match Pipeline.prepare_uncached Pipeline.default_options l with
+                | Pipeline.Doall _ -> None
+                | Pipeline.Doacross { graph; _ } -> Some graph)
+              (Isched_perfect.Suite.chunk_loops c))
+          (Isched_perfect.Suite.chunks ~scale:20 profile))
+      Isched_perfect.Profile.all
+  in
+  let machines = List.map snd Machine.paper_configs in
+  let runs = List.concat_map (fun g -> List.map (fun m -> (g, m)) machines) graphs in
+  let baselines = List.map (fun (g, m) -> List_sched.run g m) runs in
+  List.iter2 (fun (g, m) b -> ignore (Sync_sched.run ~baseline:b g m)) runs baselines;
+  let n = List.fold_left (fun n ((g : Dfg.t), _) -> n + g.Dfg.n) 0 runs in
+  let per_instruction what limit f =
+    let w0 = Gc.minor_words () in
+    f ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    if words > limit then
+      Alcotest.failf "%s: %.2f minor words per scheduled instruction (limit %.0f)" what words limit
+  in
+  per_instruction "List_sched.run" 5. (fun () ->
+      List.iter (fun (g, m) -> ignore (List_sched.run g m)) runs);
+  per_instruction "Sync_sched.run ~baseline" 10. (fun () ->
+      List.iter2 (fun (g, m) b -> ignore (Sync_sched.run ~baseline:b g m)) runs baselines)
+
 let suite =
   [
     ("resource: issue width", `Quick, test_resource_issue_width);
@@ -500,4 +538,6 @@ let suite =
     ("schedulers are deterministic", `Quick, test_deterministic_schedules);
     ("corpus x 7 machines: legal and never worse", `Slow, test_corpus_schedules_legal);
     ("corpus: sync conditions hold in every schedule", `Slow, test_sync_conditions_in_schedules);
+    ("sched: allocation per scheduled instruction on the scale-20 corpus", `Slow,
+      test_scheduler_allocation);
   ]

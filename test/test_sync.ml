@@ -278,6 +278,53 @@ let elim_random_values =
              Isched_check.Oracle.differential s = Ok ())
          | _ -> false))
 
+(* Elimination against its reference model ([Elim_ref]: the bool-matrix
+   reachability): the eliminated waits with their chains, the index map
+   and the reduced program must all be equal. *)
+let elim_agrees (p : Prog.t) g =
+  let r = Elim.run p g in
+  let prog, eliminated, index_map = Elim_ref.run p g in
+  r.Elim.eliminated = eliminated && r.Elim.index_map = index_map && r.Elim.prog = prog
+
+(* Every unreduced DOACROSS program of the scale-20 corpus, where rows
+   span up to two bitset words and 92 waits and 45 sends go. *)
+let test_elim_reference_corpus () =
+  let waits = ref 0 and sends = ref 0 in
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun c ->
+          List.iter
+            (fun l ->
+              match Pipeline.prepare_uncached Pipeline.default_options l with
+              | Pipeline.Doall _ -> ()
+              | Pipeline.Doacross { prog = p; graph = g; _ } ->
+                if not (elim_agrees p g) then
+                  Alcotest.failf "%s: differs from the reference" p.Prog.name;
+                let r = Elim.run p g in
+                waits := !waits + List.length r.Elim.eliminated;
+                sends :=
+                  !sends + Array.length p.Prog.signals - Array.length r.Elim.prog.Prog.signals)
+            (Isched_perfect.Suite.chunk_loops c))
+        (Isched_perfect.Suite.chunks ~scale:20 profile))
+    Isched_perfect.Profile.all;
+  check Alcotest.int "waits removed" 92 !waits;
+  check Alcotest.int "sends removed" 45 !sends
+
+let elim_reference_random =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"elim: bitset reachability agrees with the reference on generated loops"
+       QCheck2.Gen.(int_range 0 100000)
+       (fun seed ->
+         let profile = { Isched_perfect.Profile.mdg with seed; n_generated = 1 } in
+         match Isched_perfect.Genloop.generate profile with
+         | [ l ] -> (
+           match Pipeline.prepare_uncached Pipeline.default_options l with
+           | Pipeline.Doall _ -> true
+           | Pipeline.Doacross { prog; graph; _ } -> elim_agrees prog graph)
+         | _ -> false))
+
 (* --- Migrate --- *)
 
 let test_migrate_converts_lbd () =
@@ -345,4 +392,7 @@ let suite =
     ("migrate: never breaks intra-iteration deps", `Quick, test_migrate_respects_program_order);
     ("migrate: semantics preserved", `Quick, test_migrate_preserves_semantics);
     migrate_random_legal;
+    ("elim: bitset reachability agrees with the reference on the scale-20 corpus", `Slow,
+      test_elim_reference_corpus);
+    elim_reference_random;
   ]
